@@ -10,9 +10,8 @@
 //! * [`engine`] — the batched local-LP engine, staged on the pluggable
 //!   [`SolveBackend`](mmlp_parallel::SolveBackend): enumerates all balls in
 //!   one sweep, canonicalises each ball's local LP through a two-phase
-//!   (per-shard, then global) dedup, solves each *unique* LP class once —
-//!   optionally warm-started from similar classes — and scatters the
-//!   results (with a naive per-agent reference mode that provably produces
+//!   (per-shard, then global) dedup, solves each *unique* LP class once and
+//!   scatters the results (with a naive per-agent reference mode that provably produces
 //!   bit-identical solutions);
 //! * [`transport`] — the engine's wire bindings: payload codecs, the
 //!   worker-side stage registry and the worker entry points that let the
@@ -23,8 +22,9 @@
 //! * [`service`] — the multi-tenant binding of the
 //!   [`SolveService`](mmlp_parallel::SolveService): many tenants admit
 //!   batched solves onto the shared worker pool with typed backpressure and
-//!   per-tenant fairness, optionally sharing one bounded `ClassBasisCache`
-//!   (bit-identical results guaranteed by the zero-pivot exactness gate);
+//!   per-tenant fairness, optionally sharing one bounded cache of class
+//!   answers (bit-identical results, because a class key is an exact
+//!   encoding of its LP);
 //! * [`runner`] — the bridge to `mmlp-distsim`: run any view-based local rule
 //!   through the synchronous simulator and account for rounds and messages;
 //! * [`analysis`] — the centralised optimum baseline, the trivial uniform
@@ -49,10 +49,8 @@ pub mod transport;
 pub use analysis::{compare_algorithms, uniform_baseline, AlgorithmComparison, ComparisonEntry};
 pub use engine::{
     register_base, solve_local_lps, solve_local_lps_incremental, solve_local_lps_incremental_on,
-    solve_local_lps_on, solve_local_lps_reusing, ClassBasisCache, DeltaError, EngineError,
-    IncrementalRun, InstanceDelta, LocalLpBatch, LocalLpOptions, RegisteredBase, SolveMode,
-    SolveStats, StageTimings, WarmStartPolicy, WeightEdit, WeightKind,
-    DEFAULT_CLASS_BASIS_CAPACITY,
+    solve_local_lps_on, DeltaError, EngineError, IncrementalRun, InstanceDelta, LocalLpBatch,
+    LocalLpOptions, RegisteredBase, SolveMode, SolveStats, StageTimings, WeightEdit, WeightKind,
 };
 pub use local_averaging::{
     local_averaging, local_averaging_activity_from_view, LocalAveragingOptions,

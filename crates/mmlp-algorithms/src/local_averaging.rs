@@ -29,9 +29,7 @@
 //! all produce bit-identical solutions; the engine's [`SolveStats`] are
 //! surfaced in [`LocalAveragingResult::stats`].
 
-use crate::engine::{
-    solve_local_lps, EngineError, LocalLpOptions, SolveMode, SolveStats, WarmStartPolicy,
-};
+use crate::engine::{solve_local_lps, EngineError, LocalLpOptions, SolveMode, SolveStats};
 use mmlp_core::canonical::canonical_form;
 use mmlp_core::{AgentId, InstanceBuilder, MaxMinInstance, PartyId, ResourceId, Solution};
 use mmlp_distsim::LocalView;
@@ -55,9 +53,6 @@ pub struct LocalAveragingOptions {
     pub mode: SolveMode,
     /// Which execution backend runs the engine's pipeline stages.
     pub backend: BackendKind,
-    /// Whether class solves are seeded from similar solved classes (results
-    /// are bit-identical either way; only the pivot counts change).
-    pub warm_start: WarmStartPolicy,
 }
 
 impl LocalAveragingOptions {
@@ -69,7 +64,6 @@ impl LocalAveragingOptions {
             simplex: SimplexOptions::default(),
             mode: SolveMode::Batched,
             backend: BackendKind::default(),
-            warm_start: WarmStartPolicy::Off,
         }
     }
 
@@ -91,11 +85,6 @@ impl LocalAveragingOptions {
     /// The same options on a different backend.
     pub fn with_backend(self, backend: BackendKind) -> Self {
         Self { backend, ..self }
-    }
-
-    /// The same options with warm-start reuse across classes enabled.
-    pub fn with_warm_start(self) -> Self {
-        Self { warm_start: WarmStartPolicy::NearestClass, ..self }
     }
 }
 
@@ -157,7 +146,6 @@ pub fn local_averaging(
             simplex: options.simplex,
             mode: options.mode,
             backend: options.backend,
-            warm_start: options.warm_start,
         },
     )?;
     let balls = &batch.balls;

@@ -1,6 +1,6 @@
 //! The engine binding of the multi-tenant
 //! [`SolveService`]: admit whole batched solves
-//! — optionally sharing one bounded [`ClassBasisCache`] across tenants.
+//! — optionally sharing one bounded cache of class answers across tenants.
 //!
 //! `mmlp-parallel`'s service is deliberately domain-blind (a request is just
 //! a closure).  [`EngineService`] is the domain layer on top:
@@ -11,17 +11,19 @@
 //!   admitted solves land on the same process-wide pooled subprocess
 //!   workers as solo solves.
 //! * With [`with_shared_cache`](EngineService::with_shared_cache), tenants
-//!   share one bounded [`ClassBasisCache`]: each admitted solve clones the
-//!   donor cache, runs the seeded path ([`solve_local_lps_reusing`]) and
-//!   absorbs its fresh bases back.  Sharing is safe *because* of the
-//!   engine's zero-pivot exactness gate — a seeded basis is only accepted
-//!   when it is certifiably optimal for the class, so results remain
-//!   bit-identical to an isolated cold solve no matter which tenant warmed
-//!   the cache (the conformance suite asserts this).
-//! * Accepted cross-run seeds are booked per tenant into
+//!   share one bounded cache of class answers: the canonical solution of
+//!   each class LP, keyed by the class's canonical key and the simplex
+//!   options it was solved under.  A solve takes the cache lock once to look
+//!   its classes up (after the class table merges, so hits never reach the
+//!   solve stage) and once to insert its fresh answers — never across a
+//!   solve.  Sharing is safe *because* the key is an exact encoding of the
+//!   canonical LP and the simplex is deterministic: a cached answer is the
+//!   cold solve's output, so every tenant's results stay bit-identical to
+//!   an isolated solve (the conformance suite asserts this).
+//! * Classes answered from the shared cache are booked per tenant into
 //!   [`TenantCounters::cache_hits`](mmlp_parallel::TenantCounters) (from
-//!   the batch's `warm_accepted` stat), so operators can see which tenants
-//!   actually benefit from sharing.
+//!   the batch's `shared_cache_hits` stat), so operators can see which
+//!   tenants actually benefit from sharing.
 //!
 //! Simulator epochs are admitted through the same underlying service via
 //! [`Simulator::submit_typed_epoch`](mmlp_distsim::Simulator::submit_typed_epoch)
@@ -35,7 +37,7 @@ use mmlp_parallel::{
 };
 
 use crate::engine::{
-    solve_local_lps, solve_local_lps_incremental, solve_local_lps_reusing, ClassBasisCache,
+    dispatch_backend, solve_local_lps, solve_local_lps_incremental, ClassSolutionCache,
     EngineError, IncrementalRun, InstanceDelta, LocalLpBatch, LocalLpOptions, RegisteredBase,
 };
 
@@ -45,7 +47,7 @@ use crate::engine::{
 pub struct EngineService {
     service: SolveService,
     metrics: ServiceMetrics,
-    cache: Option<Arc<Mutex<ClassBasisCache>>>,
+    cache: Option<Arc<Mutex<ClassSolutionCache>>>,
 }
 
 impl EngineService {
@@ -57,25 +59,25 @@ impl EngineService {
         Self { service, metrics, cache: None }
     }
 
-    /// A service whose tenants share one bounded [`ClassBasisCache`] of
-    /// `capacity` classes.  Exactness is preserved: the zero-pivot gate
-    /// accepts a shared seed only when it is certifiably optimal, so every
-    /// tenant's results stay bit-identical to an isolated cold solve.
+    /// A service whose tenants share one bounded cache of at most
+    /// `capacity` class answers.  Every tenant's results stay bit-identical
+    /// to an isolated solve: answers are keyed by the exact canonical class
+    /// key and the simplex options they were solved under.
     pub fn with_shared_cache(config: ServiceConfig, capacity: usize) -> Self {
         let service = SolveService::new(config);
         let metrics = service.metrics();
         Self {
             service,
             metrics,
-            cache: Some(Arc::new(Mutex::new(ClassBasisCache::with_capacity(capacity)))),
+            cache: Some(Arc::new(Mutex::new(ClassSolutionCache::with_capacity(capacity)))),
         }
     }
 
     /// Admits one batched solve for `tenant`.
     ///
-    /// With a shared cache, the request runs the seeded path against a
-    /// snapshot of the cache, absorbs its fresh bases back afterwards, and
-    /// books the accepted seeds into the tenant's `cache_hits` counter.
+    /// With a shared cache, the request answers its cached classes from it,
+    /// inserts its fresh answers afterwards, and books the cached classes
+    /// into the tenant's `cache_hits` counter.
     ///
     /// # Errors
     ///
@@ -92,12 +94,8 @@ impl EngineService {
         let metrics = self.metrics.clone();
         self.service.submit(tenant, move || match cache {
             Some(shared) => {
-                // Snapshot the donor under the lock, solve outside it — a
-                // long solve must not serialise other tenants' admissions.
-                let donor = shared.lock().unwrap_or_else(PoisonError::into_inner).clone();
-                let batch = solve_local_lps_reusing(&instance, &options, &donor)?;
-                metrics.record_cache_hits(tenant, batch.stats.warm_accepted as u64);
-                shared.lock().unwrap_or_else(PoisonError::into_inner).absorb(&batch);
+                let batch = dispatch_backend(&instance, &options, Some(&shared))?;
+                metrics.record_cache_hits(tenant, batch.stats.shared_cache_hits as u64);
                 Ok(batch)
             }
             None => solve_local_lps(&instance, &options),
@@ -136,7 +134,8 @@ impl EngineService {
         self.service.counters(tenant)
     }
 
-    /// Number of classes currently in the shared cache (0 when isolated).
+    /// Number of class answers currently in the shared cache (0 when
+    /// isolated).
     pub fn shared_classes(&self) -> usize {
         self.cache
             .as_ref()

@@ -1,7 +1,6 @@
 //! Benchmark for the pluggable sharded solve backend: the batched engine on
 //! every built-in backend and several shard counts (the agent-range split a
-//! multi-machine deployment would use), plus the warm-start reuse paths on
-//! the 50×50 acceptance workload.
+//! multi-machine deployment would use).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maxmin_local_lp::prelude::*;
@@ -49,33 +48,5 @@ fn bench_shard_count_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_warm_start_reuse(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e8_warm_start_reuse_grid50_r2");
-    group.sample_size(10);
-    let inst = uniform_grid(50);
-    let cache = solve_local_lps(&inst, &LocalLpOptions::new(2)).unwrap().basis_cache();
-    group.bench_function("cold", |b| {
-        b.iter(|| {
-            let batch = solve_local_lps(&inst, &LocalLpOptions::new(2)).unwrap();
-            std::hint::black_box(batch.stats.total_pivots)
-        })
-    });
-    group.bench_function("reuse-cache", |b| {
-        b.iter(|| {
-            let batch = solve_local_lps_reusing(&inst, &LocalLpOptions::new(2), &cache).unwrap();
-            // The acceptance property: re-solving from the cache must save
-            // simplex iterations on this workload.
-            assert!(batch.stats.warm_accepted > 0);
-            std::hint::black_box(batch.stats.total_pivots)
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_backends_on_grid50,
-    bench_shard_count_sweep,
-    bench_warm_start_reuse
-);
+criterion_group!(benches, bench_backends_on_grid50, bench_shard_count_sweep);
 criterion_main!(benches);

@@ -4,7 +4,7 @@
 //! opposite: many tenants (sensor fields, ISP slices) submit small
 //! overlapping solves continuously, and the questions become queueing
 //! questions — latency percentiles, throughput, fairness, and what the
-//! shared class-basis cache buys across tenants.  This experiment drives
+//! shared class-answer cache buys across tenants.  This experiment drives
 //! the [`SolveService`] front-end with Poisson arrivals and measures
 //! exactly that:
 //!
@@ -16,7 +16,7 @@
 //!    fired.
 //! 2. **Cross-tenant cache sharing.**  The same tenant mix, solving
 //!    structurally identical instances, once with isolated tenants and once
-//!    sharing one bounded [`ClassBasisCache`]: the table reports the
+//!    sharing one bounded cache of class answers: the table reports the
 //!    latency drop and the per-tenant cache-hit counters.  Results stay
 //!    bit-identical either way (asserted here; the conformance suite
 //!    `tests/solve_service.rs` proves it exhaustively).
@@ -209,9 +209,9 @@ fn main() {
         }
     }
 
-    banner("E12b: cross-tenant class-basis cache sharing");
+    banner("E12b: cross-tenant class-answer cache sharing");
     println!("Same tenant mix; tenants' instances are structurally identical, so every");
-    println!("class a tenant solves cold is a seed for every other tenant.\n");
+    println!("class a tenant solves cold answers that class for every other tenant.\n");
     let tenants = if smoke { 2u64 } else { 4 };
     let widths = [22usize, 10, 10, 12, 12];
     print_row(
@@ -254,8 +254,9 @@ fn main() {
             assert!(hits > 0, "structurally identical tenants must hit the shared cache");
         }
     }
-    println!("\nSharing is gated by the zero-pivot exactness certificate, so the results");
-    println!("are bit-identical to isolated cold solves (tests/solve_service.rs).");
+    println!("\nAnswers are keyed by the exact canonical class key and the simplex options,");
+    println!("so the results are bit-identical to isolated cold solves");
+    println!("(tests/solve_service.rs).");
 
     match report.write() {
         Ok(path) => println!("\nWrote machine-readable summary: {}", path.display()),

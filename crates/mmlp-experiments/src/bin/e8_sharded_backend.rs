@@ -1,6 +1,6 @@
 //! Experiment E8 — the pluggable sharded solve backend at work.
 //!
-//! Three demonstrations:
+//! Two demonstrations:
 //!
 //! 1. **Backend comparison.**  The batched engine runs the acceptance
 //!    workload (50×50 grid, `R = 2`) on every built-in backend and several
@@ -9,11 +9,6 @@
 //! 2. **Per-shard statistics.**  The fixed-shard backend's per-shard item
 //!    counts and wall-clock for each pipeline stage — the load-balance view
 //!    a multi-machine split would need.
-//! 3. **Warm-start reuse.**  The same engine run with
-//!    `WarmStartPolicy::NearestClass`: unique classes ordered by structural
-//!    similarity, each solve seeded from the nearest solved class.  The
-//!    solutions stay bit-identical (gated acceptance) while the total
-//!    simplex pivots drop.
 //!
 //! Writes `BENCH_e8_sharded_backend.json` with every number in the tables.
 
@@ -26,16 +21,6 @@ use std::time::Instant;
 
 fn uniform_grid(side: usize) -> MaxMinInstance {
     let cfg = GridConfig { side_lengths: vec![side, side], torus: false, random_weights: false };
-    grid_instance(&cfg, &mut StdRng::seed_from_u64(4))
-}
-
-fn weighted_torus(side: usize) -> MaxMinInstance {
-    let cfg = GridConfig { side_lengths: vec![side, side], torus: true, random_weights: true };
-    grid_instance(&cfg, &mut StdRng::seed_from_u64(4))
-}
-
-fn weighted_grid(side: usize) -> MaxMinInstance {
-    let cfg = GridConfig { side_lengths: vec![side, side], torus: false, random_weights: true };
     grid_instance(&cfg, &mut StdRng::seed_from_u64(4))
 }
 
@@ -126,83 +111,6 @@ fn main() {
     }
     println!("\nA shard communicates only through its returned table, so these four stages");
     println!("are exactly what a multi-machine agent-range split would execute per machine.");
-
-    banner("E8c: warm-start reuse (identical output, fewer pivots)");
-    let widths = [30usize, 8, 8, 8, 8, 8];
-    print_row(
-        &[
-            "workload / policy".into(),
-            "classes".into(),
-            "pivots".into(),
-            "installs".into(),
-            "seeded".into(),
-            "accepted".into(),
-        ],
-        &widths,
-    );
-    let show = |label: &str, policy: &str, report: &mut BenchReport, s: &SolveStats| {
-        print_row(
-            &[
-                format!("{label} / {policy}"),
-                s.unique_classes.to_string(),
-                s.total_pivots.to_string(),
-                s.total_installs.to_string(),
-                s.warm_attempts.to_string(),
-                s.warm_accepted.to_string(),
-            ],
-            &widths,
-        );
-        report.push(
-            &format!("{label}/{policy}"),
-            &[
-                ("classes", s.unique_classes as f64),
-                ("pivots", s.total_pivots as f64),
-                ("installs", s.total_installs as f64),
-                ("warm_attempts", s.warm_attempts as f64),
-                ("warm_accepted", s.warm_accepted as f64),
-            ],
-        );
-    };
-
-    // Intra-run nearest-class chaining: classes ordered by structural
-    // similarity, each solve seeded from the last dimension-compatible class
-    // of its shard.  The certificate gate rejects almost every cross-class
-    // seed on heterogeneous (weighted) workloads — the table shows the gate
-    // doing its job: results identical (asserted), with the wasted install
-    // work of the rejected seeds honestly on display.
-    for (label, workload, radius) in [
-        ("torus-20x20-weighted-r2 nearest", weighted_torus(20), 2usize),
-        ("grid-50x50-weighted-r1 nearest", weighted_grid(50), 1),
-    ] {
-        let cold = solve_local_lps(&workload, &LocalLpOptions::new(radius)).unwrap();
-        let warm =
-            solve_local_lps(&workload, &LocalLpOptions::new(radius).with_warm_start()).unwrap();
-        assert_eq!(cold.local_x, warm.local_x, "warm start must not change the solution");
-        show(label, "cold", &mut report, &cold.stats);
-        show(label, "warm", &mut report, &warm.stats);
-    }
-
-    // Cross-run reuse: the production re-solve path.  The E8a reference run
-    // already recorded every class's optimal basis
-    // (`LocalLpBatch::basis_cache`); the re-solve seeds each class from its
-    // own basis and pays zero simplex iterations per accepted class.  On the
-    // 50x50 acceptance workload the drop is strict.
-    let cold = reference.expect("E8a produced the reference batch");
-    let warm =
-        solve_local_lps_reusing(&inst, &LocalLpOptions::new(2), &cold.basis_cache()).unwrap();
-    assert_eq!(cold.local_x, warm.local_x, "cache reuse must not change the solution");
-    show("grid-50x50-r2 re-solve", "cold", &mut report, &cold.stats);
-    show("grid-50x50-r2 re-solve", "warm", &mut report, &warm.stats);
-    assert!(
-        warm.stats.total_pivots < cold.stats.total_pivots,
-        "re-solving the 50x50 grid from the basis cache must strictly reduce \
-         total pivots ({} vs {})",
-        warm.stats.total_pivots,
-        cold.stats.total_pivots
-    );
-    println!("\nA similarity seed is accepted only under a uniqueness certificate; a cache");
-    println!("seed only when zero pivots confirm its own cold basis — either way the output");
-    println!("cannot change, only the work.");
 
     match report.write() {
         Ok(path) => println!("\nWrote machine-readable summary: {}", path.display()),

@@ -14,10 +14,7 @@
 //! LP is the global optimum `ω*` that local algorithms are compared against.
 
 use crate::problem::{LpConstraint, LpError, LpProblem, ObjectiveSense};
-use crate::simplex::{
-    resolve_from_basis, solve_with, try_dual_warm_solve, try_warm_solve, LpSolution, LpStatus,
-    SimplexOptions, WarmStart,
-};
+use crate::simplex::{solve_with, LpStatus, SimplexOptions};
 use mmlp_core::{MaxMinInstance, Solution};
 
 /// The exact optimum of a max-min LP, produced by the centralised simplex
@@ -28,23 +25,8 @@ pub struct MaxMinOptimum {
     pub solution: Solution,
     /// The optimal objective value `ω* = min_k Σ_v c_kv x*_v`.
     pub objective: f64,
-    /// Number of simplex iterations used (including any rejected seeded
-    /// attempt; basis installations are counted in
-    /// [`installs`](MaxMinOptimum::installs)).
+    /// Number of simplex iterations used.
     pub pivots: usize,
-    /// Gauss–Jordan eliminations spent installing bases: seed installation
-    /// and the canonical resolution of the final basis.
-    pub installs: usize,
-    /// The optimal simplex basis, reusable as a [`WarmStart`] for re-solving
-    /// this instance (or a coefficient-perturbed variant of it).
-    pub basis: Vec<usize>,
-}
-
-impl MaxMinOptimum {
-    /// The optimal basis packaged as a warm start.
-    pub fn warm_start(&self) -> WarmStart {
-        WarmStart { basis: self.basis.clone() }
-    }
 }
 
 /// Builds the LP reformulation of `instance`.
@@ -76,314 +58,34 @@ pub fn solve_maxmin(instance: &MaxMinInstance) -> Result<MaxMinOptimum, LpError>
 }
 
 /// Solves `instance` exactly with explicit simplex options.
+///
+/// The simplex is deterministic, so the returned activity vector is a
+/// function of `(instance, options)` alone: solving the same LP twice —
+/// in another process, or on another backend — gives the same bits.
 pub fn solve_maxmin_with(
     instance: &MaxMinInstance,
     options: &SimplexOptions,
 ) -> Result<MaxMinOptimum, LpError> {
-    solve_maxmin_warm(instance, options, None)
-}
-
-/// Solves `instance` exactly, optionally warm-starting the simplex from a
-/// previously optimal basis (an unusable basis is ignored, never an error).
-///
-/// Equivalent to [`solve_maxmin_seeded`] without the report.  A seeded solve
-/// can **never** change the returned numbers relative to the cold solve:
-/// a warm result is only kept when its uniqueness certificate proves the
-/// cold path would have terminated at the same basis (see
-/// [`resolve_from_basis`]); otherwise the cold solve runs and its result is
-/// returned.
-pub fn solve_maxmin_warm(
-    instance: &MaxMinInstance,
-    options: &SimplexOptions,
-    warm: Option<&WarmStart>,
-) -> Result<MaxMinOptimum, LpError> {
-    solve_maxmin_seeded(instance, options, warm).map(|(opt, _)| opt)
-}
-
-/// How far a seeded max-min solve got before acceptance or fallback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SeedOutcome {
-    /// No seed basis was supplied.
-    #[default]
-    NotAttempted,
-    /// The seed basis could not be installed for this LP (wrong cardinality,
-    /// singular, or primal infeasible here).
-    InstallFailed,
-    /// The seeded phase 2 did not reach an optimal status.
-    NotOptimal,
-    /// The warm-final basis could not be canonically re-resolved.
-    ResolveFailed,
-    /// The resolution succeeded but the LP has alternative optima or a
-    /// degenerate optimal basis, so cold-path equality cannot be certified.
-    NotCertified,
-    /// The warm result was accepted: certified bit-identical to cold.
-    Accepted,
-}
-
-/// What a seeded (warm-start-capable) max-min solve did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SeededSolveReport {
-    /// Whether a seed basis was supplied and its installation attempted.
-    pub warm_attempted: bool,
-    /// Whether the warm result was accepted (certificate held); `false`
-    /// means the cold path produced the returned numbers.
-    pub warm_accepted: bool,
-    /// How far the seeded attempt got.
-    pub outcome: SeedOutcome,
-}
-
-/// How much the caller vouches for a seed basis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SeedTrust {
-    /// The seed comes from a structurally *similar* problem: acceptance
-    /// requires the solution-uniqueness certificate.
-    Similar,
-    /// The seed was recorded by a previous (deterministic) cold solve of
-    /// **this very LP**: acceptance requires only that the seeded phase 2
-    /// terminates immediately at the seeded basis set — that basis then *is*
-    /// the cold path's final basis, so resolving from it reproduces the cold
-    /// numbers without any uniqueness assumption.
-    Exact,
-}
-
-/// Solves `instance` exactly, optionally seeding the simplex from another
-/// (structurally similar) problem's optimal basis, and reports what the
-/// warm-start machinery did.
-///
-/// The returned numbers are **bit-identical to the unseeded solve** by
-/// construction:
-///
-/// 1. every solve — seeded or cold — re-derives its activity vector from the
-///    final basis via [`resolve_from_basis`], so `x` depends only on the
-///    basis *set*, not on the pivot path that found it (the resolution is
-///    paid unconditionally, cold path included, precisely so that every
-///    execution path computes the same function of the final basis);
-/// 2. a seeded result is accepted only when the resolution's uniqueness
-///    certificate holds, i.e. the optimal activity vector is provably
-///    unique — in which case both paths resolve it through the same
-///    canonical vertex basis;
-/// 3. in every other case the solver falls back to the cold path.
-///
-/// [`MaxMinOptimum::pivots`] honestly accounts for all simplex iterations
-/// performed, including rejected warm attempts;
-/// [`MaxMinOptimum::installs`] accounts for the basis-installation
-/// eliminations of seeding and resolution.
-pub fn solve_maxmin_seeded(
-    instance: &MaxMinInstance,
-    options: &SimplexOptions,
-    seed: Option<&WarmStart>,
-) -> Result<(MaxMinOptimum, SeededSolveReport), LpError> {
-    solve_maxmin_trusted(instance, options, seed, SeedTrust::Similar)
-}
-
-/// Solves `instance` exactly, seeding the simplex from a basis **recorded by
-/// a previous solve of this very instance** (e.g. the engine's cross-run
-/// class cache, whose entries are keyed by exact canonical encodings).
-///
-/// Because the cold solve is deterministic, a basis recorded by it is *the*
-/// basis the cold path terminates at.  The seeded attempt is therefore
-/// accepted — with zero simplex iterations — exactly when phase 2 confirms
-/// the seeded basis is optimal as-is; no solution-uniqueness certificate is
-/// needed, because both paths resolve the same basis set.  A seed that is
-/// not optimal here (stale after an instance update, truncated, infeasible)
-/// fails that check and falls back to the cold path.
-///
-/// **Precondition:** the caller vouches that `seed` really was recorded by
-/// a previous deterministic solve of this instance — that is what the
-/// bit-identity argument rests on.  Handing this function some *other*
-/// optimal basis of an LP with several optima returns that basis's (still
-/// optimal) vertex, which may differ from the cold solve's; use
-/// [`solve_maxmin_seeded`], whose certificate gate handles arbitrary seeds,
-/// when the provenance of the basis is not known.
-pub fn solve_maxmin_resumed(
-    instance: &MaxMinInstance,
-    options: &SimplexOptions,
-    seed: &WarmStart,
-) -> Result<(MaxMinOptimum, SeededSolveReport), LpError> {
-    solve_maxmin_trusted(instance, options, Some(seed), SeedTrust::Exact)
-}
-
-/// Solves `instance` exactly, restarting the simplex **through a dual-simplex
-/// phase** from a basis recorded before a weight perturbation.
-///
-/// After the consumption/benefit coefficients of an instance drift, its old
-/// optimal basis usually re-installs *primal infeasible* — which makes every
-/// primal warm start ([`solve_maxmin_seeded`], [`solve_maxmin_resumed`])
-/// reject it unexamined — while remaining *dual* feasible, because the
-/// reformulation's objective (`maximise ω`) never changes.  This entry point
-/// hands such a basis to [`try_dual_warm_solve`], which restores primal
-/// feasibility by dual pivots instead of re-running phase 1 from scratch.
-///
-/// The gate discipline is exactly the primal seeded path's: a dual-repaired
-/// optimum is accepted only when [`resolve_from_basis`]'s solution-uniqueness
-/// certificate holds (both paths then resolve the same canonical vertex
-/// basis), and every other outcome falls back to the cold two-phase solve —
-/// so the returned numbers are **bit-identical to the cold solve** by
-/// construction, whichever path produced them.
-pub fn solve_maxmin_dual_resumed(
-    instance: &MaxMinInstance,
-    options: &SimplexOptions,
-    seed: &WarmStart,
-) -> Result<(MaxMinOptimum, SeededSolveReport), LpError> {
-    let lp = build_maxmin_lp(instance);
-    let mut report = SeededSolveReport {
-        warm_attempted: true,
-        warm_accepted: false,
-        outcome: SeedOutcome::InstallFailed,
-    };
-    let mut pivots = 0usize;
-    let mut installs = 0usize;
-    let probe = try_dual_warm_solve(&lp, options, seed)?;
-    installs += probe.wasted_installs;
-    pivots += probe.wasted_pivots;
-    if probe.wasted_pivots > 0 {
-        report.outcome = SeedOutcome::NotOptimal;
-    }
-    if let Some(sol) = probe.solution {
-        pivots += sol.pivots;
-        installs += sol.installs;
-        report.outcome = SeedOutcome::NotOptimal;
-        if sol.status == LpStatus::Optimal {
-            report.outcome = SeedOutcome::ResolveFailed;
-            if let Some(res) = resolve_from_basis(&lp, options, &sol.basis)? {
-                installs += res.installs;
-                report.outcome = SeedOutcome::NotCertified;
-                if res.certified {
-                    report.warm_accepted = true;
-                    report.outcome = SeedOutcome::Accepted;
-                    return Ok((finish(instance, res.x, sol.basis, pivots, installs)?, report));
-                }
-            }
-        }
-    }
-    cold_tail(instance, &lp, options, pivots, installs, report)
-}
-
-fn solve_maxmin_trusted(
-    instance: &MaxMinInstance,
-    options: &SimplexOptions,
-    seed: Option<&WarmStart>,
-    trust: SeedTrust,
-) -> Result<(MaxMinOptimum, SeededSolveReport), LpError> {
-    let lp = build_maxmin_lp(instance);
-    let mut report = SeededSolveReport::default();
-    let mut pivots = 0usize;
-    let mut installs = 0usize;
-    if let Some(ws) = seed {
-        report.warm_attempted = true;
-        report.outcome = SeedOutcome::InstallFailed;
-        // A seeded attempt that burns through the pivot budget is reported
-        // by the probe as a rejection, not an error: the cold path may well
-        // finish within the same budget, and enabling warm starts must
-        // never turn a solvable instance into an error.
-        let probe = try_warm_solve(&lp, options, ws)?;
-        installs += probe.wasted_installs;
-        pivots += probe.wasted_pivots;
-        if probe.wasted_pivots > 0 {
-            report.outcome = SeedOutcome::NotOptimal;
-        }
-        if let Some(sol) = probe.solution {
-            pivots += sol.pivots;
-            installs += sol.installs;
-            report.outcome = SeedOutcome::NotOptimal;
-            if sol.status == LpStatus::Optimal {
-                let equal_cold = match trust {
-                    SeedTrust::Similar => false,
-                    // The exactness gate: phase 2 terminated without a
-                    // single pivot at the seeded basis set, which a
-                    // deterministic donor recorded as this LP's cold final
-                    // basis.
-                    SeedTrust::Exact => sol.pivots == 0 && same_basis_set(&sol.basis, &ws.basis),
-                };
-                report.outcome = SeedOutcome::NotCertified;
-                if equal_cold || trust == SeedTrust::Similar {
-                    report.outcome = SeedOutcome::ResolveFailed;
-                    if let Some(res) = resolve_from_basis(&lp, options, &sol.basis)? {
-                        installs += res.installs;
-                        report.outcome = SeedOutcome::NotCertified;
-                        if equal_cold || res.certified {
-                            report.warm_accepted = true;
-                            report.outcome = SeedOutcome::Accepted;
-                            return Ok((
-                                finish(instance, res.x, sol.basis, pivots, installs)?,
-                                report,
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    cold_tail(instance, &lp, options, pivots, installs, report)
-}
-
-/// The cold two-phase solve every seeded path falls back to, with the
-/// seeded attempt's wasted work carried into the returned accounting.
-fn cold_tail(
-    instance: &MaxMinInstance,
-    lp: &LpProblem,
-    options: &SimplexOptions,
-    mut pivots: usize,
-    mut installs: usize,
-    report: SeededSolveReport,
-) -> Result<(MaxMinOptimum, SeededSolveReport), LpError> {
-    let sol = solve_with(lp, options)?;
-    pivots += sol.pivots;
-    installs += sol.installs;
-    check_status(&sol)?;
-    let LpSolution { x, basis, .. } = sol;
-    let x = match resolve_from_basis(lp, options, &basis)? {
-        Some(res) => {
-            installs += res.installs;
-            res.x
-        }
-        // The basis could not be canonically re-installed (numerically
-        // borderline); keep the cold tableau's solution, which is itself a
-        // deterministic function of the problem.
-        None => x,
-    };
-    Ok((finish(instance, x, basis, pivots, installs)?, report))
-}
-
-/// Whether two bases contain the same column *set*.
-fn same_basis_set(a: &[usize], b: &[usize]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    let mut a = a.to_vec();
-    let mut b = b.to_vec();
-    a.sort_unstable();
-    b.sort_unstable();
-    a == b
-}
-
-fn check_status(sol: &LpSolution) -> Result<(), LpError> {
+    let sol = solve_with(&build_maxmin_lp(instance), options)?;
     match sol.status {
-        LpStatus::Optimal => Ok(()),
+        LpStatus::Optimal => {}
         // x = 0 is always feasible (all coefficients non-negative) and the
         // objective is bounded by any single resource constraint, so neither
         // of these can occur for a validated instance.
-        LpStatus::Infeasible | LpStatus::Unbounded => Err(LpError::Malformed(format!(
-            "max-min reformulation reported {:?} for a validated instance",
-            sol.status
-        ))),
+        LpStatus::Infeasible | LpStatus::Unbounded => {
+            return Err(LpError::Malformed(format!(
+                "max-min reformulation reported {:?} for a validated instance",
+                sol.status
+            )))
+        }
     }
-}
-
-fn finish(
-    instance: &MaxMinInstance,
-    x_full: Vec<f64>,
-    basis: Vec<usize>,
-    pivots: usize,
-    installs: usize,
-) -> Result<MaxMinOptimum, LpError> {
     let n = instance.num_agents();
-    let x = Solution::new(x_full[..n].to_vec());
+    let x = Solution::new(sol.x[..n].to_vec());
     // Recompute ω from the activities rather than trusting the LP variable:
     // they agree at the optimum, but the recomputation is what the rest of
     // the code treats as ground truth.
     let objective = instance.objective(&x).map_err(|e| LpError::Malformed(e.to_string()))?;
-    Ok(MaxMinOptimum { solution: x, objective, pivots, installs, basis })
+    Ok(MaxMinOptimum { solution: x, objective, pivots: sol.pivots })
 }
 
 #[cfg(test)]
@@ -507,205 +209,6 @@ mod tests {
         assert_eq!(lp.num_vars, 3); // x0, x1, ω
         assert_eq!(lp.num_constraints(), 2); // one resource + one party
         assert_eq!(lp.objective, vec![0.0, 0.0, 1.0]);
-    }
-
-    /// A small asymmetric instance with a unique nondegenerate optimum.
-    fn asymmetric_instance(benefit: f64) -> crate::maxmin::MaxMinInstance {
-        let mut b = InstanceBuilder::new();
-        let v = b.add_agents(2);
-        let i = b.add_resource();
-        let k0 = b.add_party();
-        let k1 = b.add_party();
-        b.set_consumption(i, v[0], 1.0);
-        b.set_consumption(i, v[1], 1.0);
-        b.set_benefit(k0, v[0], 1.0);
-        b.set_benefit(k1, v[1], benefit);
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn seeded_solve_is_bit_identical_to_cold_solve() {
-        let opts = SimplexOptions::default();
-        let donor = solve_maxmin(&asymmetric_instance(3.0)).unwrap();
-        // A *different* (perturbed) instance, seeded from the donor's basis.
-        let inst = asymmetric_instance(2.5);
-        let cold = solve_maxmin(&inst).unwrap();
-        let (seeded, report) =
-            solve_maxmin_seeded(&inst, &opts, Some(&donor.warm_start())).unwrap();
-        assert!(report.warm_attempted);
-        // Accepted or not, the numbers must be exactly the cold numbers.
-        assert_eq!(seeded.solution, cold.solution);
-        assert_eq!(seeded.objective.to_bits(), cold.objective.to_bits());
-    }
-
-    #[test]
-    fn seeded_solve_accepts_its_own_basis() {
-        let inst = asymmetric_instance(3.0);
-        let opts = SimplexOptions::default();
-        let cold = solve_maxmin(&inst).unwrap();
-        let (warm, report) = solve_maxmin_seeded(&inst, &opts, Some(&cold.warm_start())).unwrap();
-        assert!(report.warm_attempted && report.warm_accepted);
-        assert_eq!(warm.solution, cold.solution);
-        // Re-solving from the optimal basis pays only the installation and
-        // resolution eliminations — never more than the cold solve.
-        assert!(warm.pivots <= cold.pivots, "warm {} vs cold {}", warm.pivots, cold.pivots);
-    }
-
-    #[test]
-    fn seeded_solve_rejects_seeds_on_ambiguous_optima() {
-        // Three agents sharing one resource, one party covering all of them:
-        // the optimal face is two-dimensional, so no warm result may be
-        // accepted and the cold numbers must come back.
-        let mut b = InstanceBuilder::new();
-        let v = b.add_agents(3);
-        let i = b.add_resource();
-        let k = b.add_party();
-        for &vv in &v {
-            b.set_consumption(i, vv, 1.0);
-            b.set_benefit(k, vv, 1.0);
-        }
-        let inst = b.build().unwrap();
-        let opts = SimplexOptions::default();
-        let cold = solve_maxmin(&inst).unwrap();
-        let (seeded, report) = solve_maxmin_seeded(&inst, &opts, Some(&cold.warm_start())).unwrap();
-        assert!(report.warm_attempted && !report.warm_accepted);
-        assert_eq!(seeded.solution, cold.solution);
-    }
-
-    #[test]
-    fn garbage_seeds_never_change_the_result() {
-        let inst = asymmetric_instance(3.0);
-        let opts = SimplexOptions::default();
-        let cold = solve_maxmin(&inst).unwrap();
-        for basis in [vec![], vec![0, 0], vec![999, 1000, 1001], vec![0]] {
-            let (seeded, report) =
-                solve_maxmin_seeded(&inst, &opts, Some(&WarmStart { basis })).unwrap();
-            assert!(report.warm_attempted);
-            assert_eq!(seeded.solution, cold.solution);
-        }
-    }
-
-    #[test]
-    fn seeding_never_errors_when_the_cold_solve_fits_the_pivot_budget() {
-        // The documented invariant: enabling warm starts can change the work
-        // but never the outcome — including when the pivot budget is tuned
-        // to exactly what the cold solve needs and a useless seed would
-        // otherwise burn it.
-        let inst = asymmetric_instance(3.0);
-        let cold = solve_maxmin(&inst).unwrap();
-        let opts = SimplexOptions { max_pivots: cold.pivots.max(1), ..SimplexOptions::default() };
-        let cold_budgeted = solve_maxmin_with(&inst, &opts).unwrap();
-        for basis in [vec![], vec![0], vec![0, 1], vec![1, 2], vec![999, 1000]] {
-            let (seeded, _) =
-                solve_maxmin_seeded(&inst, &opts, Some(&WarmStart { basis })).unwrap();
-            assert_eq!(seeded.solution, cold_budgeted.solution);
-        }
-    }
-
-    #[test]
-    fn resumed_solve_accepts_the_recorded_basis_with_zero_pivots() {
-        let inst = asymmetric_instance(3.0);
-        let opts = SimplexOptions::default();
-        let cold = solve_maxmin(&inst).unwrap();
-        let (resumed, report) = solve_maxmin_resumed(&inst, &opts, &cold.warm_start()).unwrap();
-        assert!(report.warm_accepted);
-        assert_eq!(resumed.pivots, 0);
-        assert_eq!(resumed.solution, cold.solution);
-        assert_eq!(resumed.objective.to_bits(), cold.objective.to_bits());
-    }
-
-    #[test]
-    fn resumed_solve_rejects_stale_bases() {
-        // A basis recorded for a *different* instance is not optimal here:
-        // the exactness gate must fall back to the cold numbers.
-        let donor = solve_maxmin(&asymmetric_instance(3.0)).unwrap();
-        let inst = asymmetric_instance(2.5);
-        let opts = SimplexOptions::default();
-        let cold = solve_maxmin(&inst).unwrap();
-        let (resumed, _) = solve_maxmin_resumed(&inst, &opts, &donor.warm_start()).unwrap();
-        assert_eq!(resumed.solution, cold.solution);
-        for basis in [vec![], vec![0, 0], vec![999, 1000, 1001]] {
-            let (resumed, report) =
-                solve_maxmin_resumed(&inst, &opts, &WarmStart { basis }).unwrap();
-            assert!(!report.warm_accepted);
-            assert_eq!(resumed.solution, cold.solution);
-        }
-    }
-
-    /// Two agents, two resources; resource `i1` covers **both** agents with
-    /// weights `(a0, a1)`.  Both parties bind at every optimum, so the
-    /// binding resource pins the whole activity vector and the optimum stays
-    /// unique (certifiable) across the sweep — while growing the weights
-    /// past the old vertex's usage makes the recorded basis primal
-    /// infeasible without touching the objective row (ω), which is what
-    /// keeps it dual feasible.
-    fn two_resource_instance(a0: f64, a1: f64) -> crate::maxmin::MaxMinInstance {
-        let mut b = InstanceBuilder::new();
-        let v = b.add_agents(2);
-        let i0 = b.add_resource();
-        let i1 = b.add_resource();
-        let k0 = b.add_party();
-        let k1 = b.add_party();
-        b.set_consumption(i0, v[0], 1.0);
-        b.set_consumption(i0, v[1], 1.0);
-        b.set_consumption(i1, v[0], a0);
-        b.set_consumption(i1, v[1], a1);
-        b.set_benefit(k0, v[0], 1.0);
-        b.set_benefit(k1, v[1], 3.0);
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn dual_resumed_solve_repairs_a_perturbed_basis_bit_identically() {
-        // At (0.5, 0.5) the optimum is x = (3/4, 1/4) with resource i1
-        // slack (usage 1/2); at (1.2, 1.1) the old vertex would use
-        // 0.9 + 0.275 > 1, so the recorded basis is primal infeasible and
-        // only the dual phase can start from it.  The new optimum binds i1
-        // instead of i0 — a genuinely different basis, reached by dual
-        // pivots — and is unique, so the certificate accepts.
-        let opts = SimplexOptions::default();
-        let donor = solve_maxmin(&two_resource_instance(0.5, 0.5)).unwrap();
-        let inst = two_resource_instance(1.2, 1.1);
-        let cold = solve_maxmin(&inst).unwrap();
-        // The primal seeded path cannot install this basis…
-        let (_, primal_report) =
-            solve_maxmin_seeded(&inst, &opts, Some(&donor.warm_start())).unwrap();
-        assert_eq!(primal_report.outcome, SeedOutcome::InstallFailed);
-        // …while the dual path accepts it and still returns the cold bits.
-        let (dual, report) = solve_maxmin_dual_resumed(&inst, &opts, &donor.warm_start()).unwrap();
-        assert_eq!(report.outcome, SeedOutcome::Accepted);
-        assert!(report.warm_attempted && report.warm_accepted);
-        assert_eq!(dual.solution, cold.solution);
-        assert_eq!(dual.objective.to_bits(), cold.objective.to_bits());
-    }
-
-    #[test]
-    fn dual_resumed_solve_handles_coefficient_drift_of_any_size() {
-        // Sweep perturbations from none to basis-changing: accepted or not,
-        // the numbers must always be exactly the cold numbers.
-        let opts = SimplexOptions::default();
-        let donor = solve_maxmin(&two_resource_instance(0.5, 0.5)).unwrap();
-        for (a0, a1) in [(0.5, 0.5), (0.501, 0.5), (0.9, 1.0), (1.2, 1.1), (5.0, 0.1), (50.0, 7.0)]
-        {
-            let inst = two_resource_instance(a0, a1);
-            let cold = solve_maxmin(&inst).unwrap();
-            let (dual, _) = solve_maxmin_dual_resumed(&inst, &opts, &donor.warm_start()).unwrap();
-            assert_eq!(dual.solution, cold.solution, "a = ({a0}, {a1})");
-            assert_eq!(dual.objective.to_bits(), cold.objective.to_bits(), "a = ({a0}, {a1})");
-        }
-    }
-
-    #[test]
-    fn dual_resumed_solve_falls_back_on_garbage_seeds() {
-        let inst = two_resource_instance(1.2, 1.1);
-        let opts = SimplexOptions::default();
-        let cold = solve_maxmin(&inst).unwrap();
-        for basis in [vec![], vec![0, 0], vec![999, 1000, 1001], vec![0]] {
-            let (dual, report) =
-                solve_maxmin_dual_resumed(&inst, &opts, &WarmStart { basis }).unwrap();
-            assert!(!report.warm_accepted);
-            assert_eq!(dual.solution, cold.solution);
-        }
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //!
 //! The service is deliberately generic: a request is any `FnOnce() -> R`
 //! closure, so this crate (which cannot know about engines or simulators)
-//! stays dependency-free while `mmlp-algorithms` admits batched solves with
-//! a shared `ClassBasisCache` and `mmlp-distsim` admits simulator epoch
-//! runs.  Because a request runs exactly the same call it would run solo —
+//! stays dependency-free while `mmlp-algorithms` admits batched solves,
+//! optionally through a cache of class answers shared across tenants, and
+//! `mmlp-distsim` admits simulator epoch runs.  Because a request runs exactly the same call it would run solo —
 //! sequenced, never altered — every result through the service is
 //! bit-identical to an isolated run; the conformance suite asserts that.
 //!
@@ -145,7 +145,8 @@ pub struct TenantCounters {
     pub retried: u64,
     /// Cross-run cache hits attributed to this tenant's requests, recorded
     /// by domain adapters via [`ServiceMetrics::record_cache_hits`] (the
-    /// engine adapter records accepted shared-`ClassBasisCache` seeds).
+    /// engine adapter records the classes its solves answered from the
+    /// shared class-answer cache).
     pub cache_hits: u64,
 }
 

@@ -123,13 +123,12 @@ fn local_averaging_paths_are_bit_identical() {
 }
 
 /// The full execution matrix of the engine: batched (the reference), naive
-/// per-agent, every backend at ≥2 shard counts — including the loopback
+/// per-agent, and every backend at ≥2 shard counts — including the loopback
 /// transport (full wire format in memory), the subprocess backend (real
-/// worker processes) and the overlapped driver — intra-run warm-start
-/// chaining, and cross-run basis-cache reuse: all bit-identical, with
+/// worker processes) and the overlapped driver: all bit-identical, with
 /// identical class and dedup counts, on every generator, seed and radius.
 #[test]
-fn backends_shard_counts_and_warm_starts_are_bit_identical() {
+fn backends_and_shard_counts_are_bit_identical() {
     // One pooled subprocess backend per dispatch mode for the whole matrix
     // (workers persist across runs).  Where the sandbox cannot spawn
     // processes, the capability probe falls back to the loopback transport
@@ -153,6 +152,7 @@ fn backends_shard_counts_and_warm_starts_are_bit_identical() {
                     reference.local_x, naive.local_x,
                     "batched vs naive on {name}, seed {seed}, R={radius}"
                 );
+                assert_eq!(reference.class_solutions, naive.class_solutions);
 
                 for backend in [
                     BackendKind::Sequential,
@@ -172,6 +172,7 @@ fn backends_shard_counts_and_warm_starts_are_bit_identical() {
                     assert_eq!(reference.balls, sharded.balls);
                     assert_eq!(reference.class_of_ball, sharded.class_of_ball);
                     assert_eq!(reference.class_keys, sharded.class_keys);
+                    assert_eq!(reference.class_solutions, sharded.class_solutions);
                     assert_eq!(
                         reference.stats.distinct_presentations,
                         sharded.stats.distinct_presentations
@@ -193,7 +194,7 @@ fn backends_shard_counts_and_warm_starts_are_bit_identical() {
                     assert_eq!(reference.balls, remote.balls);
                     assert_eq!(reference.class_of_ball, remote.class_of_ball);
                     assert_eq!(reference.class_keys, remote.class_keys);
-                    assert_eq!(reference.class_bases, remote.class_bases);
+                    assert_eq!(reference.class_solutions, remote.class_solutions);
                     assert_eq!(
                         reference.stats.distinct_presentations,
                         remote.stats.distinct_presentations
@@ -201,62 +202,114 @@ fn backends_shard_counts_and_warm_starts_are_bit_identical() {
                     assert_eq!(reference.stats.unique_classes, remote.stats.unique_classes);
                     assert_eq!(reference.stats.cache_hits, remote.stats.cache_hits);
                 }
-
-                let warm =
-                    solve_local_lps(&inst, &LocalLpOptions::new(radius).with_warm_start()).unwrap();
-                assert_eq!(
-                    reference.local_x, warm.local_x,
-                    "warm-start chaining on {name}, seed {seed}, R={radius}"
-                );
-
-                let reused = solve_local_lps_reusing(
-                    &inst,
-                    &LocalLpOptions::new(radius).with_backend(BackendKind::Sharded { shards: 2 }),
-                    &reference.basis_cache(),
-                )
-                .unwrap();
-                assert_eq!(
-                    reference.local_x, reused.local_x,
-                    "basis-cache reuse on {name}, seed {seed}, R={radius}"
-                );
-                // An accepted seeded solve may terminate at a different (but
-                // equivalent) optimal basis — the certificate pins the
-                // activity vector, not the basis — so only the shape of the
-                // recorded bases is compared.
-                assert_eq!(reference.class_bases.len(), reused.class_bases.len());
             }
         }
     }
 }
 
-/// The acceptance criterion for warm-start reuse: on the 50×50 workload the
-/// cross-run basis cache must cut total pivots *strictly* — in fact an
-/// unchanged instance re-solves without a single simplex iteration, every
-/// class accepted from its own recorded basis.  (Intra-run chaining carries
-/// no such bound: a rejected seed can add iterations; only bit-identity is
-/// guaranteed for it, asserted by the matrix test above.)
-#[test]
-fn grid_50x50_warm_start_reuse_strictly_reduces_pivots() {
-    let inst = grid_instance(
-        &GridConfig { side_lengths: vec![50, 50], torus: false, random_weights: false },
-        &mut StdRng::seed_from_u64(0),
-    );
-    let options = LocalLpOptions::new(2);
-    let cold = solve_local_lps(&inst, &options).unwrap();
-    let chained = solve_local_lps(&inst, &options.with_warm_start()).unwrap();
-    let reused = solve_local_lps_reusing(&inst, &options, &cold.basis_cache()).unwrap();
+/// Every backend the service can dispatch to, with a label.
+fn service_backends() -> Vec<(String, BackendKind)> {
+    // Where the sandbox cannot spawn processes, the subprocess backend falls
+    // back to the loopback transport — the assertions hold either way.
+    [
+        BackendKind::Sequential,
+        BackendKind::ScopedThreads,
+        BackendKind::Sharded { shards: 2 },
+        BackendKind::Loopback { shards: 3 },
+        BackendKind::Subprocess { workers: 2, overlapped: false },
+        BackendKind::Subprocess { workers: 2, overlapped: true },
+    ]
+    .into_iter()
+    .map(|b| (format!("{b:?}"), b))
+    .collect()
+}
 
-    assert_eq!(cold.local_x, chained.local_x);
-    assert_eq!(cold.local_x, reused.local_x);
-    assert!(
-        reused.stats.total_pivots < cold.stats.total_pivots,
-        "cache reuse must strictly reduce simplex iterations ({} vs {})",
-        reused.stats.total_pivots,
-        cold.stats.total_pivots
+/// A second read through a shared class-answer cache runs no simplex at
+/// all and is bit-identical to an isolated solve, on every backend.
+#[test]
+fn a_second_read_through_a_shared_cache_solves_nothing_and_stays_bit_identical() {
+    let inst = grid_instance(
+        &GridConfig { side_lengths: vec![6, 5], torus: false, random_weights: true },
+        &mut StdRng::seed_from_u64(3),
     );
-    assert_eq!(reused.stats.total_pivots, 0, "an unchanged instance re-solves pivot-free");
-    assert_eq!(reused.stats.warm_accepted, reused.stats.warm_attempts);
-    assert_eq!(reused.stats.warm_attempts, reused.stats.unique_classes);
+    for (label, backend) in service_backends() {
+        let options = LocalLpOptions::new(1).with_backend(backend);
+        let isolated = solve_local_lps(&inst, &options).unwrap();
+        let service =
+            EngineService::with_shared_cache(ServiceConfig { workers: 2, queue_capacity: 8 }, 4096);
+        let read = |tenant: u64| {
+            service
+                .submit_solve(tenant, inst.clone(), options)
+                .unwrap()
+                .wait()
+                .unwrap()
+                .unwrap()
+        };
+        let first = read(1);
+        let second = read(2);
+        for (which, batch) in [("first", &first), ("second", &second)] {
+            assert_eq!(batch.local_x, isolated.local_x, "{label}: {which} read");
+            assert_eq!(batch.class_of_ball, isolated.class_of_ball, "{label}: {which} read");
+            assert_eq!(batch.class_keys, isolated.class_keys, "{label}: {which} read");
+            assert_eq!(batch.class_solutions, isolated.class_solutions, "{label}: {which} read");
+            assert_eq!(batch.ball_objectives, isolated.ball_objectives, "{label}: {which} read");
+        }
+        assert_eq!(first.stats.lp_solves, isolated.stats.lp_solves, "{label}");
+        assert_eq!(first.stats.shared_cache_hits, 0, "{label}");
+        assert_eq!(second.stats.lp_solves, 0, "{label}: the second read must not solve");
+        assert_eq!(second.stats.total_pivots, 0, "{label}");
+        assert_eq!(second.stats.shared_cache_hits, second.stats.unique_classes, "{label}");
+        assert_eq!(service.counters(2).cache_hits, second.stats.unique_classes as u64);
+        service.drain();
+    }
+}
+
+/// Two tenants on one shared cache with different simplex options each get
+/// exactly what their isolated solves give, on every backend: answers are
+/// keyed by the options they were solved under, so a tenant whose pivot
+/// budget is too small for the instance still gets its iteration-limit
+/// error, and a tenant with another tolerance never sees the other's bits.
+#[test]
+fn tenants_with_different_simplex_options_share_a_cache_without_mixing_answers() {
+    let inst = grid_instance(
+        &GridConfig { side_lengths: vec![5, 5], torus: false, random_weights: true },
+        &mut StdRng::seed_from_u64(5),
+    );
+    let tenants = [
+        (1u64, SimplexOptions::default()),
+        (2, SimplexOptions { tolerance: 1e-7, ..SimplexOptions::default() }),
+        (3, SimplexOptions { max_pivots: 1, ..SimplexOptions::default() }),
+    ];
+    for (label, backend) in service_backends() {
+        let options = |simplex| LocalLpOptions { simplex, backend, ..LocalLpOptions::new(1) };
+        let isolated: Vec<_> = tenants
+            .iter()
+            .map(|&(_, simplex)| solve_local_lps(&inst, &options(simplex)))
+            .collect();
+        assert!(isolated[0].is_ok() && isolated[1].is_ok(), "{label}");
+        assert!(isolated[2].is_err(), "{label}: a one-pivot budget must fail in isolation");
+        let service =
+            EngineService::with_shared_cache(ServiceConfig { workers: 1, queue_capacity: 8 }, 4096);
+        // Each tenant reads twice, interleaved, so every tenant's second read
+        // meets a cache the other tenants have filled.
+        for _ in 0..2 {
+            for (&(tenant, simplex), want) in tenants.iter().zip(&isolated) {
+                let got = service
+                    .submit_solve(tenant, inst.clone(), options(simplex))
+                    .unwrap()
+                    .wait();
+                match (got.unwrap(), want) {
+                    (Ok(got), Ok(want)) => {
+                        assert_eq!(got.local_x, want.local_x, "{label}: tenant {tenant}");
+                        assert_eq!(got.class_solutions, want.class_solutions, "{label}");
+                    }
+                    (Err(got), Err(want)) => assert_eq!(&got, want, "{label}: tenant {tenant}"),
+                    (got, want) => panic!("{label}: tenant {tenant}: {got:?} vs {want:?}"),
+                }
+            }
+        }
+        service.drain();
+    }
 }
 
 /// The acceptance target of the batched engine: on a 50×50 grid at `R = 2`

@@ -1,13 +1,11 @@
 //! Conformance suite for the incremental re-solve path.
 //!
 //! The contract under test: re-solving a registered base under a weight
-//! delta returns solutions, balls, class numbering and class keys
-//! **bit-identical** to a cold solve of the patched instance — across every
-//! backend, shard count and churn rate — while touching only the balls the
-//! delta can affect.  (Recorded bases follow the warm-reuse contract: one
-//! optimal basis per class, usable as a seed; the dual phase may record a
-//! different representative basis of the same certified-unique optimum than
-//! the cold pivot history.)
+//! delta returns solutions, balls, class numbering, class keys and class
+//! solutions **bit-identical** to a cold solve of the patched instance —
+//! across every backend, shard count and churn rate — while touching only
+//! the balls the delta can affect, and never pivoting more than that cold
+//! solve.
 
 use maxmin_local_lp::prelude::*;
 use rand::rngs::StdRng;
@@ -61,7 +59,7 @@ fn assert_matches_cold(run: &IncrementalRun, cold: &LocalLpBatch, label: &str) {
     assert_eq!(run.batch.balls, cold.balls, "{label}: balls diverged");
     assert_eq!(run.batch.class_of_ball, cold.class_of_ball, "{label}: classes diverged");
     assert_eq!(run.batch.class_keys, cold.class_keys, "{label}: class keys diverged");
-    assert_eq!(run.batch.class_bases.len(), cold.class_bases.len(), "{label}: class count");
+    assert_eq!(run.batch.class_solutions, cold.class_solutions, "{label}: class solutions");
 }
 
 #[test]
@@ -75,6 +73,24 @@ fn incremental_matches_cold_across_churn_rates() {
         let cold = solve_local_lps(&delta.apply(&inst).unwrap(), &options).unwrap();
         assert_matches_cold(&run, &cold, &format!("churn {count}"));
         assert!(run.affected_agents <= inst.num_agents());
+        // The statistics describe the re-presented balls: no more hits than
+        // balls, so the hit rate is a rate.
+        let stats = &run.batch.stats;
+        assert!(
+            stats.cache_hits <= stats.balls_enumerated,
+            "churn {count}: {} hits over {} re-presented balls",
+            stats.cache_hits,
+            stats.balls_enumerated
+        );
+        assert!(stats.cache_hit_rate() <= 1.0);
+        // The slow-delta tail: a write never pivots more than the cold solve
+        // of the patched instance it replaces.
+        assert!(
+            stats.total_pivots <= cold.stats.total_pivots,
+            "churn {count}: incremental {} pivots vs cold {}",
+            stats.total_pivots,
+            cold.stats.total_pivots
+        );
         // The re-presented set never exceeds the union of balls around the
         // changed agents, and the wire bytes vanish with the churn.
         if count == 0 {
@@ -219,5 +235,33 @@ fn incremental_requests_ride_the_solve_service() {
         let run = ticket.wait().expect("completed").expect("re-solve succeeded");
         let cold = solve_local_lps(&delta.apply(&inst).unwrap(), &options).unwrap();
         assert_matches_cold(&run, &cold, "service ticket");
+    }
+}
+
+#[test]
+fn incremental_writes_never_pivot_more_than_cold() {
+    // The write mix of a serving workload: a weighted 8×8 grid at radius 2
+    // under a stream of ~1% deltas.  Every write must stay bit-identical to
+    // its cold solve, pivot no more than it, and report hits over the
+    // re-presented balls only.
+    let inst = grid_instance(
+        &GridConfig { side_lengths: vec![8, 8], torus: false, random_weights: true },
+        &mut StdRng::seed_from_u64(2008),
+    );
+    let options = LocalLpOptions::new(2);
+    let base = register_base(&inst, &options, 1).unwrap();
+    for seed in 0..12u64 {
+        let delta = churn_delta(&inst, 1 + (seed % 3) as usize, 1, 4000 + seed);
+        let run = solve_local_lps_incremental(&base, &delta).unwrap();
+        let cold = solve_local_lps(&delta.apply(&inst).unwrap(), &options).unwrap();
+        assert_matches_cold(&run, &cold, &format!("write {seed}"));
+        let stats = &run.batch.stats;
+        assert!(stats.cache_hits <= stats.balls_enumerated, "write {seed}");
+        assert!(
+            stats.total_pivots <= cold.stats.total_pivots,
+            "write {seed}: incremental {} pivots vs cold {}",
+            stats.total_pivots,
+            cold.stats.total_pivots
+        );
     }
 }

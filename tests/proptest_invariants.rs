@@ -19,8 +19,8 @@
 //!   typed error — no panic, no hang, no silently wrong frame.
 
 use maxmin_local_lp::algorithms::transport::{
-    put_canonical_form, put_instance, put_instance_delta, put_warm_start, read_canonical_form,
-    read_instance, read_instance_delta, read_warm_start,
+    put_canonical_form, put_instance, put_instance_delta, read_canonical_form, read_instance,
+    read_instance_delta,
 };
 use maxmin_local_lp::parallel::wire::{decode_frame, encode_frame, ByteReader, Frame, FrameKind};
 use maxmin_local_lp::prelude::*;
@@ -166,7 +166,7 @@ proptest! {
         prop_assert!(stats.lp_solves <= stats.unique_classes);
         prop_assert_eq!(stats.cache_hits, stats.balls_enumerated - stats.unique_classes);
         prop_assert!(stats.unique_classes >= 1);
-        prop_assert_eq!(batch.class_bases.len(), stats.unique_classes);
+        prop_assert_eq!(batch.class_solutions.len(), stats.unique_classes);
         prop_assert_eq!(stats.quasi_classes, stats.unique_classes);
         prop_assert_eq!(stats.max_class_slack.to_bits(), 0.0f64.to_bits());
         prop_assert!(stats.dedup_ratio() >= 1.0);
@@ -340,17 +340,6 @@ proptest! {
     }
 
     #[test]
-    fn warm_start_wire_codec_is_identity(seed in any::<u64>(), len in 0usize..20) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let basis: Vec<usize> = (0..len).map(|_| rng.gen_range(0usize..1000)).collect();
-        let seed_opt = if len % 2 == 0 { Some(WarmStart { basis }) } else { None };
-        let mut bytes = Vec::new();
-        put_warm_start(&mut bytes, seed_opt.as_ref());
-        let decoded = read_warm_start(&mut ByteReader::new(&bytes)).unwrap();
-        prop_assert_eq!(decoded, seed_opt);
-    }
-
-    #[test]
     fn instance_delta_wire_codec_is_identity(seed in any::<u64>(), len in 0usize..40) {
         let delta = arbitrary_delta(seed, len);
         let mut bytes = Vec::new();
@@ -422,7 +411,6 @@ proptest! {
             prop_assert!(reencoded.len() <= noise.len());
         }
         let _ = read_canonical_form(&mut ByteReader::new(&noise));
-        let _ = read_warm_start(&mut ByteReader::new(&noise));
         let _ = read_instance_delta(&mut ByteReader::new(&noise), None);
         let _ = read_instance_delta(&mut ByteReader::new(&noise), Some(seed));
     }

@@ -2,18 +2,18 @@
 //!
 //! The service's whole contract is that multi-tenancy is *invisible* in the
 //! results: a tenant's solve admitted through [`SolveService`] — queued
-//! behind other tenants, executed on shared executors, optionally seeded
-//! from a cache another tenant warmed — must be **bit-identical** to the
+//! behind other tenants, executed on shared executors, optionally answered
+//! from a cache another tenant filled — must be **bit-identical** to the
 //! same solve run solo and cold.  No tolerances anywhere in this file.
 //!
 //! Covered:
 //!
 //! * engine solves through [`EngineService`] without sharing — bit-identical
 //!   to solo cold solves, per tenant;
-//! * engine solves **with** the shared cross-tenant [`ClassBasisCache`] —
-//!   still bit-identical (the zero-pivot exactness gate at work), with the
-//!   tenant-attributed cache-hit counters proving the sharing actually
-//!   happened;
+//! * engine solves **with** the shared cross-tenant class-answer cache —
+//!   still bit-identical (answers are keyed by the exact canonical class
+//!   key), with the tenant-attributed cache-hit counters proving the
+//!   sharing actually happened;
 //! * simulator epochs and engine solves admitted onto the *same* service;
 //! * typed backpressure ([`ServiceError::QueueFull`]) and post-drain
 //!   admission ([`ServiceError::Draining`]);
@@ -72,38 +72,39 @@ fn shared_cache_stays_bit_identical_and_attributes_hits_to_tenants() {
     let inst = workload(77);
     let solo = solve_local_lps(&inst, &options).unwrap();
 
-    // Tenant 1 warms the cache with a cold solve of the instance.
+    // Tenant 1 fills the cache with a cold solve of the instance.
     let first = service
         .submit_solve(1, inst.clone(), options)
         .unwrap()
         .wait()
         .unwrap()
         .unwrap();
-    assert_batches_identical("warming tenant", &first, &solo);
+    assert_batches_identical("filling tenant", &first, &solo);
     assert!(service.shared_classes() > 0, "the first solve must populate the shared cache");
 
-    // Tenants 2 and 3 solve the same instance: every class solve is now
-    // seeded from tenant 1's bases — and still bit-identical to the solo
-    // cold solve, because a seed is only accepted when certifiably optimal.
+    // Tenants 2 and 3 solve the same instance: every class is now answered
+    // from tenant 1's entries without a solve — and still bit-identical to
+    // the solo cold solve, because a cached answer is the cold answer.
     for tenant in [2u64, 3] {
-        let seeded = service
+        let cached = service
             .submit_solve(tenant, inst.clone(), options)
             .unwrap()
             .wait()
             .unwrap()
             .unwrap();
-        assert_batches_identical(&format!("seeded tenant {tenant}"), &seeded, &solo);
+        assert_batches_identical(&format!("cached tenant {tenant}"), &cached, &solo);
         assert_eq!(
-            seeded.stats.warm_accepted, seeded.stats.unique_classes,
-            "every class solve of the repeat tenant must accept its shared seed"
+            cached.stats.shared_cache_hits, cached.stats.unique_classes,
+            "every class of the repeat tenant must be answered from the shared cache"
         );
+        assert_eq!(cached.stats.lp_solves, 0, "a fully cached solve runs no simplex");
         assert_eq!(
             service.counters(tenant).cache_hits,
-            seeded.stats.unique_classes as u64,
-            "accepted shared seeds are booked to the tenant that benefited"
+            cached.stats.unique_classes as u64,
+            "shared-cache hits are booked to the tenant that benefited"
         );
     }
-    assert_eq!(service.counters(1).cache_hits, 0, "the cold warming solve hit nothing");
+    assert_eq!(service.counters(1).cache_hits, 0, "the cold filling solve hit nothing");
     service.drain();
 }
 

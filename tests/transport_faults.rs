@@ -409,7 +409,7 @@ fn subprocess_backend_is_bit_identical_end_to_end() {
         assert_eq!(batch.local_x, reference.local_x, "overlapped={overlapped}");
         assert_eq!(batch.class_of_ball, reference.class_of_ball);
         assert_eq!(batch.class_keys, reference.class_keys);
-        assert_eq!(batch.class_bases, reference.class_bases);
+        assert_eq!(batch.class_solutions, reference.class_solutions);
     }
 }
 
