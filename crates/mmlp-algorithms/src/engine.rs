@@ -597,8 +597,8 @@ pub(crate) fn dispatch_backend(
             &LoopbackBackend::new(engine_registry(), shards),
             shared,
         ),
-        BackendKind::Subprocess { workers, overlapped } => {
-            run_pipeline(instance, options, &*subprocess_backend(workers, overlapped), shared)
+        BackendKind::Subprocess { workers } => {
+            run_pipeline(instance, options, &*subprocess_backend(workers), shared)
         }
     }
 }
@@ -606,13 +606,13 @@ pub(crate) fn dispatch_backend(
 /// The engine's subprocess backends come from the process-wide pool shared
 /// with the distributed simulator
 /// ([`mmlp_parallel::pooled_subprocess_backend`], keyed by worker count,
-/// dispatch mode and registry fingerprint): one set of resident workers
+/// registry fingerprint and worker command): one set of resident workers
 /// serves batched solves and simulator rounds alike, keeping worker-side
 /// context caches warm across both.  Callers that want explicit lifecycle
 /// control construct a [`SubprocessBackend`] themselves and use
 /// [`solve_local_lps_on`].
-fn subprocess_backend(workers: usize, overlapped: bool) -> Arc<SubprocessBackend> {
-    pooled_subprocess_backend(workers, overlapped, &engine_registry())
+fn subprocess_backend(workers: usize) -> Arc<SubprocessBackend> {
+    pooled_subprocess_backend(workers, &engine_registry())
 }
 
 /// Runs the engine pipeline — present, canonicalise, solve, scatter — on an
@@ -1192,8 +1192,8 @@ pub fn solve_local_lps_incremental(
             delta,
             &LoopbackBackend::new(engine_registry(), shards),
         ),
-        BackendKind::Subprocess { workers, overlapped } => {
-            solve_local_lps_incremental_on(base, delta, &*subprocess_backend(workers, overlapped))
+        BackendKind::Subprocess { workers } => {
+            solve_local_lps_incremental_on(base, delta, &*subprocess_backend(workers))
         }
     }
 }

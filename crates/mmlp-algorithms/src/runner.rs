@@ -133,7 +133,7 @@ impl WireRule {
 /// This is the honest distributed form of [`run_local_rule`] made
 /// serialisable: state and messages are the gathering protocol's (with its
 /// exact-bit codecs), the configuration adds the rule selector and simplex
-/// options, so the whole algorithm runs through the `mmlp/sim-round@1`
+/// options, so the whole algorithm runs through the `mmlp/sim-epoch@1`
 /// stage on any backend — including real worker processes.
 #[derive(Debug, Clone)]
 pub struct LocalRuleProgram {
@@ -274,13 +274,12 @@ impl WireProgram for LocalRuleProgram {
 
 /// Runs one of the paper's view-based rules fully distributed through the
 /// typed-message tier: every simulator round is shipped through the
-/// simulator's configured backend as a `mmlp/sim-round@1` wire stage
+/// simulator's configured backend as a `mmlp/sim-epoch@1` wire stage
 /// (resolved against the engine registry, which serves this program), and
 /// the per-agent activities come back as the nodes' final outputs.
 ///
 /// Bit-identical to [`run_local_rule`] with the matching rule closure — the
-/// conformance suite asserts it across every backend, shard count and
-/// driver mode.
+/// conformance suite asserts it across every backend and shard count.
 ///
 /// # Errors
 ///
@@ -295,7 +294,7 @@ pub fn run_wire_rule(
     let (h, _) = communication_hypergraph(instance);
     let network = Network::from_hypergraph(&h);
     let program = LocalRuleProgram::new(instance, rule, *simplex);
-    let run = simulator.run_typed(&network, &program, &engine_registry())?;
+    let run = simulator.run_typed_epoch(&network, &program, &engine_registry())?;
     Ok(LocalRun {
         solution: Solution::new(run.outputs),
         radius: rule.horizon(),

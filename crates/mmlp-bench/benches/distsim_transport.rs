@@ -1,8 +1,7 @@
 //! Benchmark for the distributed simulator's typed-message tier: the
-//! radius-2 gathering protocol through the `mmlp/sim-round@1` stage on the
+//! radius-2 gathering protocol through the `mmlp/sim-epoch@1` stage on the
 //! in-process backends, the in-memory loopback transport and the subprocess
-//! backend in lockstep vs overlapped dispatch — what a synchronous round
-//! costs per boundary crossed.
+//! backend — what a synchronous round costs per boundary crossed.
 //!
 //! The subprocess rows need a worker binary (`mmlp-worker` next to the
 //! target directory, or `MMLP_WORKER_BIN`); where the environment cannot
@@ -33,49 +32,42 @@ fn bench_gather_rounds_on_grid15(c: &mut Criterion) {
             std::hint::black_box(run.messages)
         })
     });
-    group.bench_function("wire-sequential", |b| {
+    group.bench_function("epoch-sequential", |b| {
         b.iter(|| {
-            let run = simulator.run_wire_on(&network, &program, &Sequential).unwrap();
+            let run = simulator.run_epoch_on(&network, &program, &Sequential).unwrap();
             std::hint::black_box(run.messages)
         })
     });
-    group.bench_function("wire-sharded-4", |b| {
+    group.bench_function("epoch-sharded-4", |b| {
         let backend = Sharded::new(4, ParallelConfig::default());
         b.iter(|| {
-            let run = simulator.run_wire_on(&network, &program, &backend).unwrap();
+            let run = simulator.run_epoch_on(&network, &program, &backend).unwrap();
             std::hint::black_box(run.messages)
         })
     });
-    group.bench_function("wire-loopback-4", |b| {
+    group.bench_function("epoch-loopback-4", |b| {
         let backend = LoopbackBackend::new(engine_registry(), 4).with_workers(2);
         b.iter(|| {
-            let run = simulator.run_wire_on(&network, &program, &backend).unwrap();
+            let run = simulator.run_epoch_on(&network, &program, &backend).unwrap();
             std::hint::black_box(run.messages)
         })
     });
-    // One pooled backend per dispatch mode: workers persist across
-    // iterations, so the numbers measure the protocol, not process spawns.
-    group.bench_function("wire-subprocess-lockstep-2", |b| {
-        let backend = SubprocessBackend::new(2, engine_registry()).lockstep();
-        b.iter(|| {
-            let run = simulator.run_wire_on(&network, &program, &backend).unwrap();
-            std::hint::black_box(run.messages)
-        })
-    });
-    group.bench_function("wire-subprocess-overlapped-2", |b| {
+    // Workers persist across iterations, so the numbers measure the
+    // protocol, not process spawns.
+    group.bench_function("epoch-subprocess-2", |b| {
         let backend = SubprocessBackend::new(2, engine_registry());
         b.iter(|| {
-            let run = simulator.run_wire_on(&network, &program, &backend).unwrap();
+            let run = simulator.run_epoch_on(&network, &program, &backend).unwrap();
             std::hint::black_box(run.messages)
         })
     });
     group.finish();
 }
 
-fn bench_sim_round_codecs(c: &mut Criterion) {
+fn bench_gather_view_codecs(c: &mut Criterion) {
     use maxmin_local_lp::distsim::gather::{put_local_view, read_local_view};
     use maxmin_local_lp::parallel::wire::ByteReader;
-    let mut group = c.benchmark_group("e10_sim_round_codecs");
+    let mut group = c.benchmark_group("e10_gather_view_codecs");
     let (network, program) = gather_setup(15, 2);
     // The heaviest payload of a run: a halting node's full radius-2 view.
     let views = Simulator::sequential().run(&network, &program).unwrap().outputs;
@@ -98,5 +90,5 @@ fn bench_sim_round_codecs(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gather_rounds_on_grid15, bench_sim_round_codecs);
+criterion_group!(benches, bench_gather_rounds_on_grid15, bench_gather_view_codecs);
 criterion_main!(benches);

@@ -1,7 +1,6 @@
 //! Benchmark for the transport layer: the batched engine across the
 //! in-process backends, the in-memory loopback transport (full wire format,
-//! no process) and the subprocess backend in lockstep vs overlapped
-//! dispatch.
+//! no process) and the subprocess backend.
 //!
 //! The subprocess rows need a worker binary (`mmlp-worker` next to the
 //! target directory, or `MMLP_WORKER_BIN`); where the environment cannot
@@ -44,16 +43,9 @@ fn bench_transports_on_grid20(c: &mut Criterion) {
         })
     });
 
-    // One pooled backend per dispatch mode: workers persist across
-    // iterations, so the numbers measure the protocol, not process spawns.
-    group.bench_function("subprocess-lockstep-2", |b| {
-        let backend = SubprocessBackend::new(2, engine_registry()).lockstep();
-        b.iter(|| {
-            let batch = solve_local_lps_on(&inst, &options, &backend).unwrap();
-            std::hint::black_box(batch.stats.unique_classes)
-        })
-    });
-    group.bench_function("subprocess-overlapped-2", |b| {
+    // Workers persist across iterations, so the numbers measure the
+    // protocol, not process spawns.
+    group.bench_function("subprocess-2", |b| {
         let backend = SubprocessBackend::new(2, engine_registry());
         b.iter(|| {
             let batch = solve_local_lps_on(&inst, &options, &backend).unwrap();

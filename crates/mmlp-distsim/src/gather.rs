@@ -17,9 +17,9 @@
 
 use crate::network::Network;
 use crate::program::{Action, MessageSize, NodeProgram, WireProgram};
+use crate::sim_epoch::distsim_registry;
 use crate::simulator::{SimError, SimulationResult, Simulator};
 use crate::view::LocalView;
-use crate::wire_round::distsim_registry;
 use mmlp_core::{AgentId, MaxMinInstance, PartyId, ResourceId};
 use mmlp_hypergraph::communication_hypergraph;
 use mmlp_parallel::wire::{put_f64, put_usize, ByteReader, WireError};
@@ -324,10 +324,9 @@ impl WireProgram for GatherProgram {
 /// instance (resource and party hyperedges).
 ///
 /// The transport backend kinds run the protocol through the typed-message
-/// tier ([`Simulator::run_typed`] with the
-/// [`distsim_registry`]) — every round genuinely
-/// crosses the byte (or process) boundary; the in-process kinds use the
-/// closure tier.  Both tiers are bit-identical.
+/// tier ([`Simulator::run_typed_epoch`] with the [`distsim_registry`]) —
+/// every round genuinely crosses the byte (or process) boundary; the
+/// in-process kinds use the closure tier.  Both tiers are bit-identical.
 pub fn gather_views(
     instance: &MaxMinInstance,
     radius: usize,
@@ -338,7 +337,7 @@ pub fn gather_views(
     let program = GatherProgram::new(instance, radius);
     match simulator.config().backend {
         BackendKind::Loopback { .. } | BackendKind::Subprocess { .. } => {
-            simulator.run_typed(&network, &program, &distsim_registry())
+            simulator.run_typed_epoch(&network, &program, &distsim_registry())
         }
         _ => simulator.run(&network, &program),
     }
@@ -457,7 +456,6 @@ mod tests {
     /// local shard count and the loopback transport, asserting all are
     /// bit-identical to the sequential closure reference.
     fn assert_gather_identical_everywhere(inst: &MaxMinInstance, radius: usize) {
-        use crate::wire_round::distsim_registry;
         use mmlp_parallel::{LoopbackBackend, ParallelConfig, Sharded};
         let (h, _) = communication_hypergraph(inst);
         let network = Network::from_hypergraph(&h);
@@ -466,11 +464,11 @@ mod tests {
         let reference = simulator.run(&network, &program).unwrap();
         for shards in [1usize, 2, 5] {
             let backend = Sharded::new(shards, ParallelConfig::sequential());
-            let wired = simulator.run_wire_on(&network, &program, &backend).unwrap();
+            let wired = simulator.run_epoch_on(&network, &program, &backend).unwrap();
             assert_eq!(wired, reference, "sharded-{shards}, radius {radius}");
         }
         let loopback = LoopbackBackend::new(distsim_registry(), 3).with_workers(2);
-        let wired = simulator.run_wire_on(&network, &program, &loopback).unwrap();
+        let wired = simulator.run_epoch_on(&network, &program, &loopback).unwrap();
         assert_eq!(wired, reference, "loopback, radius {radius}");
     }
 
@@ -521,10 +519,10 @@ mod tests {
         let program = GatherProgram::new(&inst, 2);
         let simulator = Simulator::sequential();
         let one_shard = simulator
-            .run_wire_on(&network, &program, &Sharded::new(1, ParallelConfig::sequential()))
+            .run_epoch_on(&network, &program, &Sharded::new(1, ParallelConfig::sequential()))
             .unwrap();
         let split = simulator
-            .run_wire_on(&network, &program, &Sharded::new(5, ParallelConfig::sequential()))
+            .run_epoch_on(&network, &program, &Sharded::new(5, ParallelConfig::sequential()))
             .unwrap();
         assert_eq!(one_shard, split);
         // And both match the direct view construction, per agent.

@@ -1,12 +1,12 @@
-//! Worker-resident simulator rounds: the `mmlp/sim-epoch@1` seam.
+//! Simulator rounds on the wire: the `mmlp/sim-epoch@1` seam.
 //!
-//! The `mmlp/sim-round@1` stage ([`crate::wire_round`]) ships every running
-//! node's state with every round's jobs, which makes workers stateless but
-//! dominates the per-round wire volume.  This module flips the ownership:
-//! each worker keeps its node-range's states **resident between rounds**, so
-//! a round's job carries only the round number and the shard's non-empty
-//! inter-shard message batches, and the reply carries only each node's
-//! outbox action — state never travels in the steady path.
+//! One synchronous round of a [`WireProgram`] is submitted as a
+//! [`WireStage`] to a [`SolveBackend`](mmlp_parallel::SolveBackend), exactly
+//! like a batch of local-LP solves.  Each worker keeps its node-range's
+//! states **resident between rounds**, so a round's job carries only the
+//! round number and the shard's non-empty inter-shard message batches, and
+//! the reply carries only each node's outbox action — state never travels
+//! in the steady path.
 //!
 //! * **Context** (cached across rounds *and* runs): the program identifier,
 //!   its configuration and the network topology.  The bytes depend only on
@@ -30,8 +30,8 @@
 //!   target list, so the host reproduces the sequential simulator's message
 //!   and unit accounting exactly; new state stays on the worker.
 //!
-//! Losing a worker now loses state, so correctness under worker death moves
-//! from respawn-and-resend to **checkpoint/restore**: every `k` rounds (a
+//! Losing a worker loses state, so correctness under worker death rests on
+//! **checkpoint/restore** rather than respawn-and-resend: every `k` rounds (a
 //! [`CheckpointPolicy`]) the job's flags request a snapshot, which the
 //! worker streams back as a `Checkpoint` frame immediately before the
 //! round's reply.  The driver's [`RecoveryLog`](mmlp_parallel::RecoveryLog)
@@ -43,21 +43,27 @@
 //! `init` — so every phase of a run is recoverable.
 //!
 //! The conformance suites assert this tier is bit-identical to the
-//! sequential simulator and to the state-in-job tier, including under
-//! scripted worker deaths at every checkpoint phase.
+//! sequential simulator, including under scripted worker deaths at every
+//! checkpoint phase.
 
 use crate::network::{put_network, read_network, Network};
 use crate::program::{Action, MessageSize, NodeProgram, WireProgram};
-use crate::wire_round::{peek_program_id, TAG_BROADCAST, TAG_HALT, TAG_IDLE, TAG_SEND};
 use mmlp_parallel::wire::{put_str, put_u64, put_u8, put_usize, ByteReader, WireError};
-use mmlp_parallel::{Shard, StageCache, TransportError, WireStage};
+use mmlp_parallel::{Shard, StageCache, StageRegistry, TransportError, WireStage};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Stage identifier of a worker-resident simulator round (`@1` is the
 /// payload version — see the versioning rule in [`mmlp_parallel::wire`]).
 pub const STAGE_SIM_EPOCH: &str = "mmlp/sim-epoch@1";
+
+// Reply action tags.
+const TAG_BROADCAST: u8 = 0;
+const TAG_SEND: u8 = 1;
+const TAG_IDLE: u8 = 2;
+const TAG_HALT: u8 = 3;
 
 /// Job flags bit 0: the worker must stream a state snapshot (a `Checkpoint`
 /// frame) immediately before this round's reply.
@@ -190,10 +196,7 @@ fn init_resident<P: WireProgram>(
     token: u64,
     start: usize,
     end: usize,
-) -> EpochResident<P::State, P::Message>
-where
-    P::State: Clone + Sync,
-{
+) -> EpochResident<P::State, P::Message> {
     EpochResident {
         token,
         next_round: 0,
@@ -233,7 +236,6 @@ fn step_resident<'i, P: WireProgram>(
     inbox_of: impl Fn(usize) -> &'i [(usize, P::Message)],
 ) -> StepActions<P>
 where
-    P::State: Clone + Sync,
     P::Message: 'i,
 {
     let mut steps = Vec::with_capacity(resident.states.len());
@@ -262,10 +264,7 @@ fn epoch_actions<P: WireProgram>(
     resident: &mut EpochResident<P::State, P::Message>,
     shard: (usize, usize),
     steps: StepActions<P>,
-) -> Vec<EpochStep<P>>
-where
-    P::State: Clone + Sync,
-{
+) -> Vec<EpochStep<P>> {
     let (start, end) = shard;
     let in_shard = |v: usize| v >= start && v < end;
     let mut pending: BTreeMap<usize, Vec<(usize, P::Message)>> = BTreeMap::new();
@@ -310,16 +309,11 @@ where
 /// One worker-resident simulator round as a [`WireStage`] over node-range
 /// shards of the **whole** network.
 ///
-/// Unlike [`SimRoundStage`](crate::wire_round::SimRoundStage), which plans
-/// over the running set (it ships state anyway, so the plan may shrink),
-/// the epoch stage plans over all `n` nodes every round: shard boundaries
-/// must stay fixed so each worker's resident states keep describing the
-/// same node range, and so the driver's recovery log accumulates per-shard
-/// history that stays valid across rounds.
-pub(crate) struct SimEpochStage<'a, P: WireProgram>
-where
-    P::State: Clone + Sync,
-{
+/// The stage plans over all `n` nodes every round, including halted ones:
+/// shard boundaries must stay fixed so each worker's resident states keep
+/// describing the same node range, and so the driver's recovery log
+/// accumulates per-shard history that stays valid across rounds.
+pub(crate) struct SimEpochStage<'a, P: WireProgram> {
     pub(crate) program: &'a P,
     pub(crate) network: &'a Network,
     pub(crate) round: usize,
@@ -337,10 +331,7 @@ where
     pub(crate) resident: &'a [ResidentSlot<P>],
 }
 
-impl<P: WireProgram> WireStage for SimEpochStage<'_, P>
-where
-    P::State: Clone + Sync,
-{
+impl<P: WireProgram> WireStage for SimEpochStage<'_, P> {
     /// `(shard start, shard end, stepped actions)` — the range rides along
     /// because the host applies the same boundary rule when delivering: a
     /// payload-elided copy is one the worker already delivered locally.
@@ -401,7 +392,8 @@ where
             // The payload-elision rule is deterministic topology, so its
             // violation is a malformed reply: a broadcast payload must be
             // present iff some neighbour is outside the shard, a send
-            // payload iff its target is.
+            // payload iff its target is.  A send target must also be a
+            // neighbour of the sender (which implies `< n`).
             match &action {
                 EpochAction::Broadcast { message, .. } => {
                     let crosses = self.network.neighbors(node).iter().any(|&to| !in_shard(to));
@@ -410,8 +402,9 @@ where
                     }
                 }
                 EpochAction::Send { list } => {
+                    let neighbours = self.network.neighbors(node);
                     for (to, _, message) in list {
-                        if in_shard(*to) == message.is_some() {
+                        if !neighbours.contains(to) || in_shard(*to) == message.is_some() {
                             return Err(WireError::Decode { context: CTX }.into());
                         }
                     }
@@ -451,10 +444,7 @@ where
 // ---------------------------------------------------------------------------
 
 /// Encodes an elided message slot: a presence byte, then the payload.
-fn put_elided<P: WireProgram>(program: &P, message: &Option<P::Message>, out: &mut Vec<u8>)
-where
-    P::State: Clone + Sync,
-{
+fn put_elided<P: WireProgram>(program: &P, message: &Option<P::Message>, out: &mut Vec<u8>) {
     match message {
         Some(message) => {
             put_u8(out, 1);
@@ -467,10 +457,7 @@ where
 fn read_elided<P: WireProgram>(
     program: &P,
     r: &mut ByteReader<'_>,
-) -> Result<Option<P::Message>, WireError>
-where
-    P::State: Clone + Sync,
-{
+) -> Result<Option<P::Message>, WireError> {
     match r.u8("sim-epoch elided message")? {
         0 => Ok(None),
         1 => Ok(Some(program.decode_message(r)?)),
@@ -478,10 +465,7 @@ where
     }
 }
 
-fn encode_actions<P: WireProgram>(program: &P, steps: &[EpochStep<P>], out: &mut Vec<u8>)
-where
-    P::State: Clone + Sync,
-{
+fn encode_actions<P: WireProgram>(program: &P, steps: &[EpochStep<P>], out: &mut Vec<u8>) {
     put_usize(out, steps.len());
     for (node, action) in steps {
         put_usize(out, *node);
@@ -512,10 +496,7 @@ where
 fn read_epoch_action<P: WireProgram>(
     program: &P,
     r: &mut ByteReader<'_>,
-) -> Result<EpochAction<P::Message, P::Output>, WireError>
-where
-    P::State: Clone + Sync,
-{
+) -> Result<EpochAction<P::Message, P::Output>, WireError> {
     const CTX: &str = "sim-epoch action";
     Ok(match r.u8(CTX)? {
         TAG_BROADCAST => {
@@ -543,10 +524,7 @@ fn encode_snapshot<P: WireProgram>(
     start: usize,
     end: usize,
     resident: &EpochResident<P::State, P::Message>,
-) -> Vec<u8>
-where
-    P::State: Clone + Sync,
-{
+) -> Vec<u8> {
     let mut out = Vec::new();
     put_usize(&mut out, round);
     put_u64(&mut out, resident.token);
@@ -575,10 +553,7 @@ where
 fn read_snapshot<P: WireProgram>(
     program: &P,
     bytes: &[u8],
-) -> Result<(usize, usize, usize, EpochResident<P::State, P::Message>), WireError>
-where
-    P::State: Clone + Sync,
-{
+) -> Result<(usize, usize, usize, EpochResident<P::State, P::Message>), WireError> {
     const CTX: &str = "sim-epoch snapshot";
     let mut r = ByteReader::new(bytes);
     let round = r.usize(CTX)?;
@@ -624,10 +599,7 @@ where
 /// The worker-side resident state of an epoch run: the decoded program and
 /// network (cached once per context, like every stage) plus the resident
 /// shard states, keyed by shard start.
-struct SimEpochWorker<P: WireProgram>
-where
-    P::State: Clone + Sync,
-{
+struct SimEpochWorker<P: WireProgram> {
     program: P,
     network: Network,
     shards: HashMap<usize, EpochResident<P::State, P::Message>>,
@@ -645,9 +617,9 @@ where
 /// frame before the reply.
 ///
 /// Registries register a plain dispatcher `fn` for [`STAGE_SIM_EPOCH`] that
-/// peeks the program id ([`peek_program_id`])
-/// and calls this generic body with the matching program type, exactly like
-/// [`handle_sim_round`](crate::wire_round::handle_sim_round).
+/// peeks the program id ([`peek_program_id`]) and calls this generic body
+/// with the matching program type — the worker refuses program ids it does
+/// not know, exactly like unknown stage ids.
 ///
 /// # Errors
 ///
@@ -661,7 +633,6 @@ pub fn handle_sim_epoch<P>(
 ) -> Result<Vec<u8>, String>
 where
     P: WireProgram + Send + 'static,
-    P::State: Clone + Sync,
 {
     const CTX: &str = "sim-epoch job";
     let wire_err = |e: WireError| e.to_string();
@@ -683,8 +654,12 @@ where
         })?;
         let SimEpochWorker { program, network, shards } = worker;
         for blob in restores {
-            let (_round, start, _end, resident) =
-                read_snapshot(program, &blob).map_err(wire_err)?;
+            let (_round, start, end, resident) = read_snapshot(program, &blob).map_err(wire_err)?;
+            if end > network.num_nodes() {
+                return Err(format!(
+                    "sim-epoch snapshot names an invalid node range {start}..{end}"
+                ));
+            }
             shards.insert(start, resident);
         }
 
@@ -786,14 +761,40 @@ where
     Ok(reply)
 }
 
+/// Reads the program identifier a sim-epoch context frame opens with, so a
+/// registry's dispatcher can route to the right [`handle_sim_epoch`]
+/// instantiation.
+///
+/// # Errors
+///
+/// A typed [`WireError`] when the context is malformed.
+pub fn peek_program_id(ctx: &[u8]) -> Result<&str, WireError> {
+    ByteReader::new(ctx).str("sim-epoch program id")
+}
+
+/// The distributed simulator's own stage registry: serves
+/// [`STAGE_SIM_EPOCH`] for the programs this crate defines (currently the
+/// gathering protocol).
+///
+/// Crates that define further wire programs compose their own dispatcher on
+/// top of [`peek_program_id`] + [`handle_sim_epoch`] — the engine's
+/// `engine_registry` in `mmlp-algorithms` serves both its pipeline stages
+/// and every simulator program it knows.
+pub fn distsim_registry() -> Arc<StageRegistry> {
+    static REGISTRY: OnceLock<Arc<StageRegistry>> = OnceLock::new();
+    REGISTRY
+        .get_or_init(|| {
+            let mut registry = StageRegistry::new();
+            registry.register(STAGE_SIM_EPOCH, handle_distsim_epoch);
+            Arc::new(registry)
+        })
+        .clone()
+}
+
 /// The distsim registry's dispatcher for [`STAGE_SIM_EPOCH`] (gather only —
 /// crates with more wire programs compose their own, like the engine
 /// registry in `mmlp-algorithms`).
-pub(crate) fn handle_distsim_epoch(
-    ctx: &[u8],
-    job: &[u8],
-    cache: &mut StageCache,
-) -> Result<Vec<u8>, String> {
+fn handle_distsim_epoch(ctx: &[u8], job: &[u8], cache: &mut StageCache) -> Result<Vec<u8>, String> {
     match peek_program_id(ctx).map_err(|e| e.to_string())? {
         crate::gather::GATHER_PROGRAM_ID => {
             handle_sim_epoch::<crate::gather::GatherProgram>(ctx, job, cache)
@@ -1055,5 +1056,144 @@ mod tests {
         put_usize(&mut bad, 9); // … for a node outside 3..7
         put_u64(&mut bad, 1);
         assert!(read_snapshot(&program, &bad).is_err());
+    }
+
+    #[test]
+    fn an_unknown_program_id_is_refused_by_the_worker() {
+        // The distsim registry serves gather only; the pulse program must be
+        // refused with a typed worker error naming the program.
+        let net = path_network(4);
+        let backend = LoopbackBackend::new(distsim_registry(), 2);
+        match sim(2).run_epoch_on(&net, &PulseProgram { rounds: 3 }, &backend) {
+            Err(SimError::Transport(TransportError::Worker { message, .. })) => {
+                assert!(message.contains(PULSE_PROGRAM_ID), "unexpected message: {message}");
+            }
+            other => panic!("expected an unknown-program error, got {other:?}"),
+        }
+    }
+
+    /// Decodes `reply` as round 0's reply for `shard` of `net`, every node
+    /// running and no inboxes pending.
+    #[allow(clippy::type_complexity)]
+    fn decode_round_zero(
+        net: &Network,
+        shard: &Shard,
+        reply: &[u8],
+    ) -> Result<(usize, usize, Vec<EpochStep<PulseProgram>>), TransportError> {
+        let n = net.num_nodes();
+        let program = PulseProgram { rounds: 3 };
+        let stage = SimEpochStage {
+            program: &program,
+            network: net,
+            round: 0,
+            snapshot: false,
+            token: 1,
+            running: &vec![true; n],
+            inboxes: &vec![Vec::new(); n],
+            resident: &[],
+        };
+        stage.decode_reply(shard, reply)
+    }
+
+    fn encode(steps: &[EpochStep<PulseProgram>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_actions(&PulseProgram { rounds: 3 }, steps, &mut out);
+        out
+    }
+
+    #[test]
+    fn reply_codec_rejects_wrong_counts_bad_tags_and_bad_presence_bytes() {
+        let net = path_network(6);
+        let shard = Shard { index: 0, start: 0, end: 4 };
+        // Every action variant; node 3's broadcast reaches node 4 outside
+        // the shard, so its payload travels.
+        let steps = || -> Vec<EpochStep<PulseProgram>> {
+            vec![
+                (0, EpochAction::Send { list: vec![(1, 1, None)] }),
+                (1, EpochAction::Idle),
+                (2, EpochAction::Halt(7)),
+                (3, EpochAction::Broadcast { units: 1, message: Some(5) }),
+            ]
+        };
+        let good = encode(&steps());
+        assert!(decode_round_zero(&net, &shard, &good).is_ok());
+        // A reply for three nodes where four were running.
+        let short = encode(&steps()[..3]);
+        assert!(decode_round_zero(&net, &shard, &short).is_err());
+        // An unknown action tag.
+        let mut bad_tag = Vec::new();
+        put_usize(&mut bad_tag, 4);
+        put_usize(&mut bad_tag, 0);
+        put_u8(&mut bad_tag, 99);
+        assert!(decode_round_zero(&net, &shard, &bad_tag).is_err());
+        // An elided-payload presence byte outside {0, 1}.
+        let mut bad_presence = Vec::new();
+        put_usize(&mut bad_presence, 4);
+        put_usize(&mut bad_presence, 0);
+        put_u8(&mut bad_presence, TAG_BROADCAST);
+        put_u64(&mut bad_presence, 1);
+        put_u8(&mut bad_presence, 2);
+        assert!(decode_round_zero(&net, &shard, &bad_presence).is_err());
+        // Truncation anywhere.
+        for cut in 0..good.len() {
+            assert!(decode_round_zero(&net, &shard, &good[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn send_targets_outside_the_neighbourhood_are_malformed_replies() {
+        // A CRC-valid reply can still name any node as a send target.  A
+        // non-neighbour (node 5 from node 0 on a 6-path, payload elided as
+        // for an in-shard target) and an out-of-range target (payload
+        // present as for an out-of-shard one) must be typed decode errors,
+        // not a panic when the host delivers the round.
+        let net = path_network(6);
+        let shard = Shard { index: 0, start: 0, end: 6 };
+        for (to, message) in [(5usize, None), (99, Some(0u64))] {
+            let steps: Vec<EpochStep<PulseProgram>> = (0..6)
+                .map(|v| {
+                    let action = if v == 0 {
+                        EpochAction::Send { list: vec![(to, 1, message)] }
+                    } else {
+                        EpochAction::Idle
+                    };
+                    (v, action)
+                })
+                .collect();
+            match decode_round_zero(&net, &shard, &encode(&steps)) {
+                Err(TransportError::Wire(WireError::Decode { context: "sim-epoch reply" })) => {}
+                other => panic!("target {to}: expected a decode error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_restore_snapshot_beyond_the_network_is_a_typed_worker_error() {
+        // A snapshot whose range reaches past the network would install
+        // states for nodes that do not exist; the next round must refuse
+        // it instead of stepping them.
+        let net = path_network(4);
+        let program = PulseProgram { rounds: 3 };
+        let mut ctx = Vec::new();
+        put_str(&mut ctx, program.program_id());
+        program.encode_config(&mut ctx);
+        put_network(&mut ctx, &net);
+        let resident = EpochResident {
+            token: 7,
+            next_round: 1,
+            states: (2..6).map(|v| (v, v as u64)).collect(),
+            pending: BTreeMap::new(),
+            last: None,
+        };
+        let mut cache = StageCache::new();
+        cache.push_restore(encode_snapshot(&program, 0, 2, 6, &resident));
+        let mut job = Vec::new();
+        put_usize(&mut job, 1); // round
+        put_u8(&mut job, 0); // flags
+        put_u64(&mut job, 7); // token
+        put_usize(&mut job, 2); // start
+        put_usize(&mut job, 4); // end
+        put_usize(&mut job, 0); // no batches
+        assert!(handle_sim_epoch::<PulseProgram>(&ctx, &job, &mut cache).is_err());
     }
 }

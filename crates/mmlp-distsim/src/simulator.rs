@@ -10,20 +10,20 @@
 //!
 //! * [`Simulator::run`] / [`Simulator::run_on`] execute closure-shaped
 //!   [`NodeProgram`]s in-process (shared-memory state) — the reference path;
-//! * [`Simulator::run_typed`] / [`Simulator::run_wire_on`] execute
-//!   [`WireProgram`]s through the `mmlp/sim-round@1` wire stage, so the
-//!   transport backends genuinely ship every round's `(state, inbox)` across
-//!   the byte (or process) boundary and exchange inter-shard message batches
-//!   through the [`ShardDriver`](mmlp_parallel::ShardDriver)'s deterministic
-//!   by-`(round, shard, seq)` merge.  The conformance suite asserts both
-//!   tiers are bit-identical, message count for message count.
+//! * [`Simulator::run_typed_epoch`] / [`Simulator::run_epoch_on`] execute
+//!   [`WireProgram`]s through the `mmlp/sim-epoch@1` wire stage, so the
+//!   transport backends genuinely ship every round's inter-shard message
+//!   batches across the byte (or process) boundary, merged by the
+//!   [`ShardDriver`](mmlp_parallel::ShardDriver)'s deterministic
+//!   by-`(round, shard, seq)` merge, while node state stays resident on the
+//!   workers.  The conformance suite asserts both tiers are bit-identical,
+//!   message count for message count.
 
 use crate::network::Network;
 use crate::program::{Action, MessageSize, NodeProgram, WireProgram};
 use crate::sim_epoch::{
     next_run_token, CheckpointPolicy, EpochAction, ResidentSlot, SimEpochStage,
 };
-use crate::wire_round::SimRoundStage;
 use mmlp_parallel::wire::WireError;
 use mmlp_parallel::{
     backend_map, pooled_subprocess_backend, BackendKind, LoopbackBackend, ParallelConfig,
@@ -182,15 +182,16 @@ impl Simulator {
             // be serialised, so for *this* entry point the transport kinds
             // run their rounds in-process on the plan-equivalent fixed-shard
             // backend (results are bit-identical by the backend contract).
-            // Typed-message programs go through [`Simulator::run_typed`] /
-            // [`Simulator::run_wire_on`] instead, where rounds genuinely
-            // cross the byte and process boundary.
+            // Typed-message programs go through
+            // [`Simulator::run_typed_epoch`] / [`Simulator::run_epoch_on`]
+            // instead, where rounds genuinely cross the byte and process
+            // boundary.
             BackendKind::Loopback { shards } => self.run_on(
                 network,
                 program,
                 &mmlp_parallel::Sharded::new(shards, self.config.parallel),
             ),
-            BackendKind::Subprocess { workers, .. } => self.run_on(
+            BackendKind::Subprocess { workers } => self.run_on(
                 network,
                 program,
                 &mmlp_parallel::Sharded::new(
@@ -283,167 +284,19 @@ impl Simulator {
         })
     }
 
-    /// Runs a [`WireProgram`] on the backend selected in the configuration,
-    /// resolving the transport kinds against `registry` (which must serve
-    /// [`STAGE_SIM_ROUND`](crate::wire_round::STAGE_SIM_ROUND) for this
-    /// program — e.g. [`distsim_registry`](crate::wire_round::distsim_registry)
+    /// Runs a [`WireProgram`] through [`Simulator::run_epoch_on`] on the
+    /// backend selected in the configuration, resolving the transport kinds
+    /// against `registry` (which must serve
+    /// [`STAGE_SIM_EPOCH`](crate::sim_epoch::STAGE_SIM_EPOCH) for this
+    /// program — e.g. [`distsim_registry`](crate::sim_epoch::distsim_registry)
     /// for the programs this crate defines, or the engine registry of
     /// `mmlp-algorithms` for its algorithm programs).
     ///
     /// Unlike [`Simulator::run`], the transport kinds here genuinely cross
-    /// the boundary: every round's states and inboxes are encoded, shipped
-    /// (in memory under fault injection for `Loopback`, over real worker
-    /// stdio for `Subprocess`) and the returned states and message batches
-    /// decoded and merged deterministically.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::RoundLimitExceeded`] as for [`Simulator::run`], plus
-    /// [`SimError::Transport`] when the backend's transport fails.
-    pub fn run_typed<P: WireProgram>(
-        &self,
-        network: &Network,
-        program: &P,
-        registry: &Arc<StageRegistry>,
-    ) -> Result<SimulationResult<P::Output>, SimError>
-    where
-        P::State: Clone + Sync,
-    {
-        match self.config.backend {
-            BackendKind::Sequential => {
-                self.run_wire_on(network, program, &mmlp_parallel::Sequential)
-            }
-            BackendKind::ScopedThreads => self.run_wire_on(
-                network,
-                program,
-                &mmlp_parallel::ScopedThreads::new(self.config.parallel),
-            ),
-            BackendKind::Sharded { shards } => self.run_wire_on(
-                network,
-                program,
-                &mmlp_parallel::Sharded::new(shards, self.config.parallel),
-            ),
-            BackendKind::Loopback { shards } => {
-                self.run_wire_on(network, program, &LoopbackBackend::new(registry.clone(), shards))
-            }
-            BackendKind::Subprocess { workers, overlapped } => {
-                let backend = pooled_subprocess_backend(workers, overlapped, registry);
-                self.run_wire_on(network, program, &*backend)
-            }
-        }
-    }
-
-    /// Runs a [`WireProgram`] with every round submitted as the
-    /// `mmlp/sim-round@1` [`WireStage`](mmlp_parallel::WireStage) on an
-    /// explicit [`SolveBackend`].
-    ///
-    /// The host keeps the authoritative per-node states; each round it plans
-    /// node-range shards over the running set, ships every node's
-    /// `(state, inbox)` through the backend and merges the returned
-    /// `(state, outbox)` steps in shard order (the driver's by-sequence
-    /// ordered merge makes that order deterministic even under reordered or
-    /// duplicated replies).  Cross-shard messages therefore flow through the
-    /// driver between rounds instead of shared memory — and because every
-    /// codec is exact-bit, the results are bit-identical to
-    /// [`Simulator::run_on`], message count for message count.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::RoundLimitExceeded`] as for [`Simulator::run`], plus
-    /// [`SimError::Transport`] when the backend's transport fails.
-    pub fn run_wire_on<P: WireProgram, B: SolveBackend>(
-        &self,
-        network: &Network,
-        program: &P,
-        backend: &B,
-    ) -> Result<SimulationResult<P::Output>, SimError>
-    where
-        P::State: Clone + Sync,
-    {
-        let n = network.num_nodes();
-        let mut states: Vec<Option<P::State>> =
-            (0..n).map(|v| Some(program.init(v, network))).collect();
-        let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
-        let mut halting_round: Vec<usize> = vec![0; n];
-        let mut inboxes: Vec<Vec<(usize, P::Message)>> = (0..n).map(|_| Vec::new()).collect();
-        let mut running: Vec<usize> = (0..n).collect();
-
-        let mut messages: u64 = 0;
-        let mut message_units: u64 = 0;
-        let mut messages_per_round: Vec<u64> = Vec::new();
-        let mut round = 0usize;
-
-        while !running.is_empty() {
-            if round >= self.config.max_rounds {
-                return Err(SimError::RoundLimitExceeded {
-                    limit: self.config.max_rounds,
-                    still_running: running.len(),
-                });
-            }
-
-            let stage = SimRoundStage {
-                program,
-                network,
-                round,
-                nodes: &running,
-                states: &states,
-                inboxes: &inboxes,
-            };
-            let run = backend.execute_stage(running.len(), &stage)?;
-
-            // Merge in shard order (shards partition `running` contiguously,
-            // so this is exactly `running` order): install the new states and
-            // collect the actions for delivery.
-            let mut actions = Vec::with_capacity(running.len());
-            let mut next = 0usize;
-            for shard_steps in run.outputs {
-                for step in shard_steps {
-                    let node = running[next];
-                    next += 1;
-                    states[node] = step.state;
-                    actions.push(step.action);
-                }
-            }
-            debug_assert_eq!(next, running.len(), "every running node stepped exactly once");
-
-            // Clear the inboxes we just consumed.
-            for &node in &running {
-                inboxes[node].clear();
-            }
-
-            let (still_running, round_messages) = deliver_round(
-                network,
-                round,
-                &running,
-                actions,
-                &mut inboxes,
-                &mut outputs,
-                &mut halting_round,
-                &mut message_units,
-            );
-            messages += round_messages;
-            messages_per_round.push(round_messages);
-            running = still_running;
-            round += 1;
-        }
-
-        Ok(SimulationResult {
-            outputs: outputs
-                .into_iter()
-                .map(|o| o.expect("every node halted with an output"))
-                .collect(),
-            rounds: round,
-            halting_round,
-            messages,
-            message_units,
-            messages_per_round,
-        })
-    }
-
-    /// Runs a [`WireProgram`] on the **worker-resident** epoch tier
-    /// (`mmlp/sim-epoch@1`) on the backend selected in the configuration —
-    /// the counterpart of [`Simulator::run_typed`] for
-    /// [`Simulator::run_epoch_on`].
+    /// the boundary: every round's inter-shard message batches are encoded,
+    /// shipped (in memory under fault injection for `Loopback`, over real
+    /// worker stdio for `Subprocess`) and the returned actions decoded and
+    /// merged deterministically.
     ///
     /// # Errors
     ///
@@ -453,10 +306,7 @@ impl Simulator {
         network: &Network,
         program: &P,
         registry: &Arc<StageRegistry>,
-    ) -> Result<SimulationResult<P::Output>, SimError>
-    where
-        P::State: Clone + Sync,
-    {
+    ) -> Result<SimulationResult<P::Output>, SimError> {
         match self.config.backend {
             BackendKind::Sequential => {
                 self.run_epoch_on(network, program, &mmlp_parallel::Sequential)
@@ -474,8 +324,8 @@ impl Simulator {
             BackendKind::Loopback { shards } => {
                 self.run_epoch_on(network, program, &LoopbackBackend::new(registry.clone(), shards))
             }
-            BackendKind::Subprocess { workers, overlapped } => {
-                let backend = pooled_subprocess_backend(workers, overlapped, registry);
+            BackendKind::Subprocess { workers } => {
+                let backend = pooled_subprocess_backend(workers, registry);
                 self.run_epoch_on(network, program, &*backend)
             }
         }
@@ -505,7 +355,6 @@ impl Simulator {
     ) -> Result<EpochTicket<P::Output>, ServiceError>
     where
         P: WireProgram + Send + 'static,
-        P::State: Clone + Sync,
         P::Output: Send + 'static,
     {
         let simulator = self.clone();
@@ -588,10 +437,7 @@ impl Simulator {
         network: &Network,
         program: &P,
         backend: &B,
-    ) -> Result<SimulationResult<P::Output>, SimError>
-    where
-        P::State: Clone + Sync,
-    {
+    ) -> Result<SimulationResult<P::Output>, SimError> {
         let n = network.num_nodes();
         let token = next_run_token();
         let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
@@ -733,10 +579,10 @@ impl Simulator {
 /// by sender.  Returns the still-running nodes and the number of messages
 /// delivered this round.
 ///
-/// This is the single delivery path shared by the closure tier
-/// ([`Simulator::run_on`]) and the wire tier ([`Simulator::run_wire_on`]):
-/// actions are applied in `running` order, which both tiers produce, so the
-/// two tiers are message-for-message identical.
+/// This is the closure tier's ([`Simulator::run_on`]) delivery path; the
+/// epoch tier's delivery in [`Simulator::run_epoch_on`] mirrors it exactly,
+/// applying actions in the same `running` order, so the two tiers are
+/// message-for-message identical.
 #[allow(clippy::too_many_arguments)]
 fn deliver_round<M: Clone + MessageSize, O>(
     network: &Network,
@@ -1016,8 +862,7 @@ mod tests {
             // run rounds in-process on the plan-equivalent split — they
             // must still be selectable and bit-identical.
             BackendKind::Loopback { shards: 3 },
-            BackendKind::Subprocess { workers: 2, overlapped: true },
-            BackendKind::Subprocess { workers: 2, overlapped: false },
+            BackendKind::Subprocess { workers: 2 },
         ] {
             let run =
                 Simulator::with_config(SimulatorConfig { backend, ..SimulatorConfig::default() })

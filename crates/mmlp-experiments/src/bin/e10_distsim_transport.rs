@@ -1,24 +1,23 @@
 //! Experiment E10 — LOCAL-model simulator rounds across the transport
 //! boundary.
 //!
-//! Three demonstrations:
+//! Two demonstrations:
 //!
 //! 1. **Round throughput by backend × shards.**  The radius-2 gathering
 //!    protocol runs on a 30×30 weighted grid through the typed-message tier
-//!    (`mmlp/sim-round@1`) on every backend — in-process, the in-memory
-//!    loopback transport and real worker processes (this very binary,
-//!    re-executed with `--mmlp-worker`) in lockstep and overlapped dispatch
-//!    — at shard counts {1, 2, 5}.  Every run is asserted bit-identical
-//!    (views, message counts, rounds) to the sequential closure-tier
-//!    simulator; the table reports rounds/sec, i.e. what the byte and
-//!    process boundary costs per synchronous round.
+//!    (`mmlp/sim-epoch@1`, default checkpoint cadence) on every backend —
+//!    in-process, the in-memory loopback transport and real worker
+//!    processes (this very binary, re-executed with `--mmlp-worker`) — at
+//!    shard counts {1, 2, 5}.  Every run is asserted bit-identical (views,
+//!    message counts, rounds) to the sequential closure-tier simulator; the
+//!    table reports rounds/sec, i.e. what the byte and process boundary
+//!    costs per synchronous round.
 //! 2. **A full algorithm over the wire.**  The safe algorithm as a
 //!    gather-then-decide wire program, asserted equal to the centralised
 //!    computation across the same transports.
-//! 3. **Fault injection mid-simulation.**  Duplicated and reordered
-//!    inter-round message batches plus a killed worker, absorbed by the
-//!    driver's ordered merge and respawn-and-resend retry — identical
-//!    results, asserted.
+//!
+//! Faults on this tier (worker death, duplicated and reordered frames) are
+//! exercised by E11b and the `transport_faults` suite.
 //!
 //! Writes `BENCH_e10_distsim.json` with every number in the tables.
 
@@ -32,12 +31,12 @@ use std::time::Instant;
 
 fn main() {
     // Worker mode: when the subprocess backend re-executes this binary with
-    // `--mmlp-worker`, serve the engine stages (including `mmlp/sim-round@1`)
+    // `--mmlp-worker`, serve the engine stages (including `mmlp/sim-epoch@1`)
     // over stdio and exit.
     if serve_engine_worker_if_requested() {
         return;
     }
-    // Workers must speak `mmlp/sim-round@1`, which this binary does and a
+    // Workers must speak `mmlp/sim-epoch@1`, which this binary does and a
     // stale sibling `mmlp-worker` build might not (it would answer
     // "unknown stage" — the versioning rule working as intended, but not
     // what this experiment is measuring).  Pin the worker binary to the
@@ -83,7 +82,7 @@ fn main() {
     let mut configs: Vec<(String, usize, RunBackend)> = vec![(
         "sequential".into(),
         1,
-        Box::new(|| sim.run_wire_on(net, prog, &Sequential).unwrap()),
+        Box::new(|| sim.run_epoch_on(net, prog, &Sequential).unwrap()),
     )];
     for shards in [1usize, 2, 5] {
         configs.push((
@@ -91,7 +90,7 @@ fn main() {
             shards,
             Box::new(move || {
                 let backend = Sharded::new(shards, ParallelConfig::default());
-                sim.run_wire_on(net, prog, &backend).unwrap()
+                sim.run_epoch_on(net, prog, &backend).unwrap()
             }),
         ));
         // Transport backends are constructed once per row (pools and
@@ -101,19 +100,16 @@ fn main() {
         configs.push((
             format!("loopback-{shards}"),
             shards,
-            Box::new(move || sim.run_wire_on(net, prog, &loopback).unwrap()),
+            Box::new(move || sim.run_epoch_on(net, prog, &loopback).unwrap()),
         ));
-        for (mode, overlapped) in [("lockstep", false), ("overlapped", true)] {
-            let backend = SubprocessBackend::new(2, registry.clone())
-                .with_command(WorkerCommand::CurrentExe)
-                .with_shards(shards);
-            let backend = if overlapped { backend } else { backend.lockstep() };
-            configs.push((
-                format!("subprocess-{mode}-2w-{shards}s"),
-                shards,
-                Box::new(move || sim.run_wire_on(net, prog, &backend).unwrap()),
-            ));
-        }
+        let subprocess = SubprocessBackend::new(2, registry.clone())
+            .with_command(WorkerCommand::CurrentExe)
+            .with_shards(shards);
+        configs.push((
+            format!("subprocess-2w-{shards}s"),
+            shards,
+            Box::new(move || sim.run_epoch_on(net, prog, &subprocess).unwrap()),
+        ));
     }
 
     let widths = [26usize, 8, 8, 10, 12, 12];
@@ -173,7 +169,7 @@ fn main() {
     for backend in [
         BackendKind::Sequential,
         BackendKind::Loopback { shards: 4 },
-        BackendKind::Subprocess { workers: 2, overlapped: true },
+        BackendKind::Subprocess { workers: 2 },
     ] {
         let sim = Simulator::with_config(SimulatorConfig { backend, ..SimulatorConfig::default() });
         let clock = Instant::now();
@@ -184,37 +180,6 @@ fn main() {
         print_row(&[label.clone(), "identical".into(), fmt(wall_ms, 1)], &widths);
         report.push(&label, &[("identical", 1.0), ("wall_ms", wall_ms)]);
     }
-
-    banner("E10c: deterministic fault injection mid-simulation");
-    let widths = [34usize, 10, 12];
-    print_row(&["fault plan".into(), "result".into(), "wall ms".into()], &widths);
-    for (label, faults) in [
-        (
-            "duplicate + reorder round batches",
-            FaultPlan {
-                duplicate_replies: (0..40).collect(),
-                reorder_seed: Some(7),
-                ..FaultPlan::none()
-            },
-        ),
-        (
-            "kill worker after 3 batches",
-            FaultPlan { die_after_replies: Some(3), ..FaultPlan::none() },
-        ),
-    ] {
-        let backend = LoopbackBackend::new(registry.clone(), 6)
-            .with_workers(2)
-            .with_faults(faults);
-        let clock = Instant::now();
-        let result = simulator.run_wire_on(&network, &program, &backend).unwrap();
-        let wall_ms = clock.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(result.outputs, reference.outputs, "{label} changed the views");
-        assert_eq!(result.messages, reference.messages, "{label} changed the message count");
-        print_row(&[label.into(), "identical".into(), fmt(wall_ms, 1)], &widths);
-        report.push(&format!("fault/{label}"), &[("identical", 1.0), ("wall_ms", wall_ms)]);
-    }
-    println!("\nDuplicated inter-round message batches are dropped by the ordered merge;");
-    println!("a killed worker is respawned and its round jobs resent — views never change.");
 
     match report.write() {
         Ok(path) => println!("\nWrote machine-readable summary: {}", path.display()),

@@ -1,29 +1,20 @@
 //! Experiment E11 — worker-resident simulator state with checkpointed
 //! rounds.
 //!
-//! The state-in-job tier measured by E10 ships every node's state with
-//! every round's jobs and back with every reply, which caps transport-backed
-//! simulations around an order of magnitude below the in-process backends.
-//! The `mmlp/sim-epoch@1` tier keeps state resident on the workers: jobs
-//! carry only inter-shard message batches, replies only actions with
+//! The `mmlp/sim-epoch@1` tier keeps node state resident on the workers:
+//! jobs carry only inter-shard message batches, replies only actions with
 //! boundary-crossing payloads, and correctness under worker death comes
-//! from the checkpoint/restore protocol instead of respawn-and-resend.
+//! from the checkpoint/restore protocol.
 //!
-//! Three demonstrations:
+//! Two demonstrations:
 //!
-//! 1. **State-in-job vs worker-resident rounds/sec.**  The gathering
-//!    protocol on a 30×30 weighted grid, warmed, over the loopback and
-//!    subprocess transports at radii 2 and 3: the same run first through
-//!    `mmlp/sim-round@1` (PR 5's tier), then through `mmlp/sim-epoch@1` at
-//!    several checkpoint cadences.  Every run is asserted bit-identical to
-//!    the sequential closure-tier simulator; the table reports rounds/sec
-//!    and the speed-up of resident state over state-in-job.  The deeper the
-//!    gather, the bigger the per-node state the old tier must ship — and
-//!    the wider the gap.
-//! 2. **The checkpoint cadence knob.**  Snapshot traffic is the only
-//!    steady-state overhead of the resident tier, so `every_rounds` sweeps
-//!    from "never" to "every round" to price it.
-//! 3. **Recovery under scripted worker death.**  A killed worker mid-run is
+//! 1. **The checkpoint cadence knob.**  The gathering protocol on a 30×30
+//!    weighted grid, warmed, over the loopback and subprocess transports at
+//!    radii 2 and 3.  Snapshot traffic is the only steady-state overhead of
+//!    the resident tier, so `every_rounds` sweeps from "never" to "every
+//!    round" to price it.  Every run is asserted bit-identical to the
+//!    sequential closure-tier simulator; the table reports rounds/sec.
+//! 2. **Recovery under scripted worker death.**  A killed worker mid-run is
 //!    restored from the latest checkpoint with the buffered rounds
 //!    replayed — identical results, asserted.
 //!
@@ -39,21 +30,20 @@ use std::time::Instant;
 
 /// Timed repetitions per row.  Each row reports its **fastest** repetition:
 /// scheduler noise only ever makes a run slower, so best-of-N converges on
-/// the protocol's actual cost and keeps the speed-up ratios stable across
-/// invocations.
+/// the protocol's actual cost and keeps the rows stable across invocations.
 const REPS: usize = 5;
 
 const COLS: [usize; 4] = [37, 8, 12, 12];
 
 /// One timed row: one warm-up run (spawns pools, fills worker caches), then
-/// `REPS` timed full runs asserted bit-identical to the reference.
-/// Returns rounds/sec of the fastest repetition (see [`REPS`]).
+/// `REPS` timed full runs asserted bit-identical to the reference; reports
+/// rounds/sec of the fastest repetition (see [`REPS`]).
 fn time_row(
     label: &str,
     report: &mut BenchReport,
     reference: &SimulationResult<LocalView>,
     run: &dyn Fn() -> SimulationResult<LocalView>,
-) -> f64 {
+) {
     let warmup = run();
     assert_eq!(warmup.outputs, reference.outputs, "{label} diverged (warm-up)");
     let mut best_ms = f64::INFINITY;
@@ -80,7 +70,6 @@ fn time_row(
             ("rounds_per_sec", rounds_per_sec),
         ],
     );
-    rounds_per_sec
 }
 
 fn epoch_sim(every: usize) -> Simulator {
@@ -121,14 +110,13 @@ fn main() {
         });
     report.push_env(&[("subprocess_available", f64::from(u8::from(subprocess_available)))]);
 
-    banner("E11a: state-in-job vs worker-resident rounds (30x30 weighted grid)");
+    banner("E11a: worker-resident rounds by checkpoint cadence (30x30 weighted grid)");
     print_row(
         &["tier / transport".into(), "rounds".into(), "wall ms".into(), "rounds/sec".into()],
         &COLS,
     );
 
     let registry = engine_registry();
-    let mut speedups: Vec<(String, f64)> = Vec::new();
     for radius in [2usize, 3] {
         let program = GatherProgram::new(&inst, radius);
         let reference = Simulator::sequential()
@@ -146,44 +134,26 @@ fn main() {
         let subprocess = SubprocessBackend::new(2, registry.clone())
             .with_command(WorkerCommand::CurrentExe)
             .with_shards(4);
-
-        let sim = Simulator::sequential();
-        for (transport, state_in_job, epoch_run) in [
+        for (transport, epoch_run) in [
             (
                 "loopback-4s-2w",
-                &(|| sim.run_wire_on(&network, &program, &loopback).unwrap())
-                    as &dyn Fn() -> SimulationResult<LocalView>,
                 &(|every: usize| {
                     epoch_sim(every).run_epoch_on(&network, &program, &loopback).unwrap()
                 }) as &dyn Fn(usize) -> SimulationResult<LocalView>,
             ),
             (
                 "subprocess-4s-2w",
-                &(|| sim.run_wire_on(&network, &program, &subprocess).unwrap()),
                 &(|every: usize| {
                     epoch_sim(every).run_epoch_on(&network, &program, &subprocess).unwrap()
                 }),
             ),
         ] {
-            let wire_rps = time_row(
-                &format!("r{radius} state-in-job / {transport}"),
-                &mut report,
-                &reference,
-                state_in_job,
-            );
             for every in [0usize, 16, 4, 1] {
                 let cadence = if every == 0 { "never".to_string() } else { format!("k={every}") };
                 let label = format!("r{radius} resident {cadence} / {transport}");
-                let epoch_rps = time_row(&label, &mut report, &reference, &|| epoch_run(every));
-                let speedup = epoch_rps / wire_rps;
-                speedups.push((label.clone(), speedup));
-                report.push(&format!("speedup/{label}"), &[("vs_state_in_job", speedup)]);
+                time_row(&label, &mut report, &reference, &|| epoch_run(every));
             }
         }
-    }
-    println!();
-    for (label, speedup) in &speedups {
-        println!("  {label}: {}x over state-in-job", fmt(*speedup, 2));
     }
 
     banner("E11b: recovery under scripted worker death (radius-2 gather)");

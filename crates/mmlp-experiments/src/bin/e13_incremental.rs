@@ -135,7 +135,7 @@ fn main() {
         ("loopback", BackendKind::Loopback { shards: 4 }),
     ];
     if subprocess_available {
-        backends.push(("subprocess", BackendKind::Subprocess { workers: 2, overlapped: true }));
+        backends.push(("subprocess", BackendKind::Subprocess { workers: 2 }));
     }
 
     for (name, backend) in backends {

@@ -232,7 +232,7 @@ fn main() {
         ("loopback x4", BackendKind::Loopback { shards: 4 }),
     ];
     if subprocess_available {
-        backends.push(("subprocess x2", BackendKind::Subprocess { workers: 2, overlapped: true }));
+        backends.push(("subprocess x2", BackendKind::Subprocess { workers: 2 }));
     }
     let widths = [16usize, 12, 12, 12];
     print_row(&["backend".into(), "wall ms".into(), "solves".into(), "identical".into()], &widths);

@@ -1,21 +1,20 @@
-//! Experiment E9 — the out-of-process transport backend and the overlapped
-//! driver.
+//! Experiment E9 — the out-of-process transport backend and the pipelining
+//! shard driver.
 //!
 //! Three demonstrations:
 //!
 //! 1. **Transport comparison.**  The batched engine runs one workload
 //!    (40×40 weighted grid, `R = 2`) on the in-process backends, the
 //!    in-memory loopback transport (full wire format, no process) and the
-//!    subprocess backend in both lockstep and overlapped dispatch.  All
-//!    solutions are asserted bit-identical; the table shows the cost of the
-//!    byte/process boundary and what pipelining buys back.
+//!    subprocess backend.  All solutions are asserted bit-identical; the
+//!    table shows the cost of the byte/process boundary.
 //! 2. **Worker re-exec.**  The subprocess workers here are *this very
 //!    binary*, re-executed with `--mmlp-worker` (see the first line of
 //!    `main`) — the deployment story where one artifact serves as driver
 //!    and worker.
 //! 3. **Deterministic fault injection.**  The same workload through a
 //!    loopback transport with scripted reply reordering and duplicate
-//!    delivery: the overlapped driver buffers replies by sequence number,
+//!    delivery: the shard driver buffers replies by sequence number,
 //!    so the result stays bit-identical (asserted).
 //!
 //! Writes `BENCH_e9_transport.json` with every number in the tables.
@@ -82,17 +81,7 @@ fn main() {
                 solve_local_lps_on(&inst, &options, &backend).unwrap()
             })
         }),
-        ("subprocess-lockstep-2", {
-            let inst = inst.clone();
-            let registry = registry.clone();
-            Box::new(move || {
-                let backend = SubprocessBackend::new(2, registry.clone())
-                    .with_command(WorkerCommand::CurrentExe)
-                    .lockstep();
-                solve_local_lps_on(&inst, &options, &backend).unwrap()
-            })
-        }),
-        ("subprocess-overlapped-2", {
+        ("subprocess-2", {
             let inst = inst.clone();
             let registry = registry.clone();
             Box::new(move || {
@@ -146,7 +135,7 @@ fn main() {
     println!("\nEvery transport — including real worker processes — returns bit-identical");
     println!("local optima (asserted above).");
 
-    banner("E9b: deterministic fault injection through the overlapped driver");
+    banner("E9b: deterministic fault injection through the shard driver");
     let reference = reference.expect("E9a produced the reference batch");
     let widths = [34usize, 10, 12];
     print_row(&["fault plan".into(), "result".into(), "wall ms".into()], &widths);

@@ -1,18 +1,13 @@
 //! The shard driver: dispatches encoded stage jobs to worker links and
 //! merges replies back into deterministic shard order.
 //!
-//! Two dispatch disciplines:
-//!
-//! * [`DriverMode::Lockstep`] — one job in flight globally; the next shard
-//!   is sent only after the previous reply was merged.  The no-pipelining
-//!   baseline the benchmarks compare against.
-//! * [`DriverMode::Overlapped`] — every worker's whole job queue is
-//!   dispatched eagerly, so all workers compute concurrently and later
-//!   shards execute while earlier replies are still being merged.  Replies
-//!   arriving out of shard order (the protocol permits reordering and
-//!   duplicate delivery) are **buffered by sequence number** and merged in
-//!   shard order, so pipelining can never change a result: the conformance
-//!   suite asserts bit-identity against the sequential backend.
+//! Every worker's whole job queue is dispatched up front, so all workers
+//! compute concurrently and later shards execute while earlier replies are
+//! still being merged.  Replies arriving out of shard order (the protocol
+//! permits reordering and duplicate delivery) are **buffered by sequence
+//! number** and merged in shard order, so pipelining can never change a
+//! result: the conformance suite asserts bit-identity against the
+//! sequential backend.
 //!
 //! Fault handling is uniform across transports: a dead worker
 //! ([`TransportError::WorkerDied`]) is respawned up to
@@ -22,16 +17,6 @@
 //! arrives).  Anything else — truncated or corrupted frames, worker-side
 //! handler failures, protocol violations — aborts the stage with a typed
 //! [`TransportError`]; no failure path hangs or panics.
-//!
-//! The distributed simulator's inter-round message exchange rides this
-//! merge unchanged: every round is one stage run (`mmlp/sim-round@1`),
-//! which claims a fresh contiguous sequence range in shard order, so a
-//! round's message batches are merged deterministically by
-//! `(round, shard, seq)` — a duplicated or reordered batch is recognised
-//! and dropped exactly like any other shard reply, and a lost one is
-//! recomputed by a respawned worker from the resent `(state, inbox)` bytes
-//! (programs keep no worker-resident state, which is what makes the
-//! respawn-and-resend retry correct for simulations too).
 //!
 //! # Recoverable stages: checkpoints and replay
 //!
@@ -61,17 +46,6 @@ use crate::wire::{put_str, ByteReader, Frame, FrameKind};
 use crate::{Shard, ShardStats, StageRun, StageStats};
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
-
-/// Dispatch discipline of the [`ShardDriver`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DriverMode {
-    /// One job in flight at a time (the no-pipelining baseline).
-    Lockstep,
-    /// Dispatch eagerly, merge replies as they arrive (buffered to preserve
-    /// the deterministic shard order).
-    #[default]
-    Overlapped,
-}
 
 /// A pipeline stage whose per-shard inputs and outputs can cross a byte
 /// boundary.
@@ -159,7 +133,7 @@ pub trait WireStage: Sync {
 ///
 /// let mut registry = StageRegistry::new();
 /// registry.register("doc/sum@1", handle);
-/// // 4 shards pipelined over 2 workers by the overlapped driver.
+/// // 4 shards pipelined over 2 workers.
 /// let backend = LoopbackBackend::new(Arc::new(registry), 4).with_workers(2);
 /// let run = backend.execute_stage(100, &SumStage).unwrap();
 /// assert_eq!(run.outputs.iter().sum::<usize>(), 4950);
@@ -168,8 +142,6 @@ pub trait WireStage: Sync {
 pub struct ShardDriver {
     /// Number of concurrent workers (clamped to the number of shards).
     pub workers: usize,
-    /// Dispatch discipline.
-    pub mode: DriverMode,
     /// How many times a dead worker is respawned before the stage fails
     /// with [`TransportError::RetriesExhausted`].
     pub max_retries: usize,
@@ -361,7 +333,7 @@ impl RecoveryLog {
 }
 
 struct WorkerState {
-    /// Jobs assigned but not yet sent (lockstep keeps them here).
+    /// Jobs assigned but not yet sent.
     unsent: VecDeque<u64>,
     /// Jobs sent and not yet merged — resent verbatim after a respawn.
     inflight: VecDeque<u64>,
@@ -467,23 +439,21 @@ impl ShardDriver {
 
         let mut results: Vec<Option<(S::Output, ShardStats)>> = (0..n).map(|_| None).collect();
 
-        // In overlapped mode the whole queue of every worker ships up front;
-        // workers compute concurrently while the driver merges in order.
-        if self.mode == DriverMode::Overlapped {
-            for w in 0..workers {
-                self.flush_unsent(
-                    w,
-                    workers,
-                    base,
-                    stage,
-                    plan,
-                    pool,
-                    spawn,
-                    &mut states,
-                    &context,
-                    recovery.as_deref_mut(),
-                )?;
-            }
+        // Every worker's whole queue ships up front; workers compute
+        // concurrently while the driver merges in order.
+        for w in 0..workers {
+            self.flush_unsent(
+                w,
+                workers,
+                base,
+                stage,
+                plan,
+                pool,
+                spawn,
+                &mut states,
+                &context,
+                recovery.as_deref_mut(),
+            )?;
         }
 
         for next in 0..n {
@@ -491,23 +461,6 @@ impl ShardDriver {
                 continue;
             }
             let w = next % workers;
-            if self.mode == DriverMode::Lockstep {
-                // Shards are assigned round-robin and merged in order, so
-                // the worker's next unsent job is exactly `next` (unless a
-                // revival already re-dispatched it, making this a no-op).
-                self.flush_one(
-                    w,
-                    workers,
-                    base,
-                    stage,
-                    plan,
-                    pool,
-                    spawn,
-                    &mut states,
-                    &context,
-                    recovery.as_deref_mut(),
-                )?;
-            }
             // Collect until shard `next` is merged; out-of-order replies are
             // buffered into `results`, duplicates of merged shards ignored.
             loop {
@@ -674,7 +627,7 @@ impl ShardDriver {
         Ok(())
     }
 
-    /// Sends every queued job of worker `w` (overlapped dispatch).
+    /// Sends every queued job of worker `w`.
     #[allow(clippy::too_many_arguments)]
     fn flush_unsent<S: WireStage>(
         &self,
@@ -800,10 +753,9 @@ impl ShardDriver {
             // Everything the dead link had in flight is lost; queue it
             // again in front of the untouched jobs (order within a worker
             // is free — the merge is by sequence number) and re-dispatch
-            // the whole queue.  Re-dispatching also in lockstep mode keeps
-            // the recovery path uniform; jobs are idempotent and the
-            // ordered merge ignores any duplicate, so early dispatch can
-            // never change a result.
+            // the whole queue.  Jobs are idempotent and the ordered merge
+            // ignores any duplicate, so re-dispatch can never change a
+            // result.
             let inflight: Vec<u64> = states[w].inflight.drain(..).collect();
             for seq in inflight.into_iter().rev() {
                 states[w].unsent.push_front(seq);
@@ -903,13 +855,11 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_and_overlapped_match_the_local_reference() {
-        for mode in [DriverMode::Lockstep, DriverMode::Overlapped] {
-            for (items, shards, workers) in [(1, 1, 1), (10, 4, 2), (100, 16, 3), (7, 7, 7)] {
-                let driver = ShardDriver { workers, mode, max_retries: 0 };
-                let outputs = run_with_faults(&driver, items, shards, FaultPlan::none()).unwrap();
-                assert_eq!(outputs, reference(items, shards), "{mode:?} {items}/{shards}");
-            }
+    fn driver_matches_the_local_reference() {
+        for (items, shards, workers) in [(1, 1, 1), (10, 4, 2), (100, 16, 3), (7, 7, 7)] {
+            let driver = ShardDriver { workers, max_retries: 0 };
+            let outputs = run_with_faults(&driver, items, shards, FaultPlan::none()).unwrap();
+            assert_eq!(outputs, reference(items, shards), "{items}/{shards}");
         }
     }
 
@@ -944,7 +894,7 @@ mod tests {
         reg.register("test/offset@1", offset_handler);
         reg.register("test/fail@1", always_fail);
         let reg = Arc::new(reg);
-        let driver = ShardDriver { workers: 2, mode: DriverMode::Overlapped, max_retries: 0 };
+        let driver = ShardDriver { workers: 2, max_retries: 0 };
         let mut pool = LinkPool::new();
         let mut spawn = |w: usize| -> Result<Box<dyn WorkerLink>, TransportError> {
             Ok(Box::new(LoopbackLink::new(reg.clone(), w)) as Box<dyn WorkerLink>)
@@ -1020,7 +970,7 @@ mod tests {
         reg.register("test/alt-b@1", offset_handler);
         let reg = Arc::new(reg);
         let contexts = Arc::new(AtomicUsize::new(0));
-        let driver = ShardDriver { workers: 2, mode: DriverMode::Overlapped, max_retries: 0 };
+        let driver = ShardDriver { workers: 2, max_retries: 0 };
         let mut pool = LinkPool::new();
         let counter = contexts.clone();
         let mut spawn = move |w: usize| -> Result<Box<dyn WorkerLink>, TransportError> {
@@ -1048,7 +998,7 @@ mod tests {
 
     #[test]
     fn empty_plan_is_a_noop() {
-        let driver = ShardDriver { workers: 4, mode: DriverMode::Overlapped, max_retries: 0 };
+        let driver = ShardDriver { workers: 4, max_retries: 0 };
         let outputs = run_with_faults(&driver, 0, 4, FaultPlan::none()).unwrap();
         assert!(outputs.is_empty());
     }
@@ -1056,7 +1006,7 @@ mod tests {
     #[test]
     fn reordered_replies_are_buffered_back_into_shard_order() {
         for seed in [1u64, 7, 2024] {
-            let driver = ShardDriver { workers: 2, mode: DriverMode::Overlapped, max_retries: 0 };
+            let driver = ShardDriver { workers: 2, max_retries: 0 };
             let faults = FaultPlan { reorder_seed: Some(seed), ..FaultPlan::none() };
             let outputs = run_with_faults(&driver, 60, 12, faults).unwrap();
             assert_eq!(outputs, reference(60, 12), "seed {seed}");
@@ -1065,7 +1015,7 @@ mod tests {
 
     #[test]
     fn duplicated_replies_are_merged_idempotently() {
-        let driver = ShardDriver { workers: 2, mode: DriverMode::Overlapped, max_retries: 0 };
+        let driver = ShardDriver { workers: 2, max_retries: 0 };
         let faults = FaultPlan { duplicate_replies: vec![0, 3, 5], ..FaultPlan::none() };
         let outputs = run_with_faults(&driver, 30, 6, faults).unwrap();
         assert_eq!(outputs, reference(30, 6));
@@ -1073,7 +1023,7 @@ mod tests {
 
     #[test]
     fn truncated_reply_aborts_with_a_typed_error() {
-        let driver = ShardDriver { workers: 2, mode: DriverMode::Overlapped, max_retries: 3 };
+        let driver = ShardDriver { workers: 2, max_retries: 3 };
         let faults = FaultPlan { truncate_replies: vec![2], ..FaultPlan::none() };
         match run_with_faults(&driver, 30, 6, faults) {
             Err(TransportError::Wire(crate::wire::WireError::Truncated { .. })) => {}
@@ -1083,12 +1033,10 @@ mod tests {
 
     #[test]
     fn dead_worker_is_respawned_and_the_result_is_identical() {
-        for mode in [DriverMode::Lockstep, DriverMode::Overlapped] {
-            let driver = ShardDriver { workers: 2, mode, max_retries: 1 };
-            let faults = FaultPlan { die_after_replies: Some(2), ..FaultPlan::none() };
-            let outputs = run_with_faults(&driver, 40, 8, faults).unwrap();
-            assert_eq!(outputs, reference(40, 8), "{mode:?}");
-        }
+        let driver = ShardDriver { workers: 2, max_retries: 1 };
+        let faults = FaultPlan { die_after_replies: Some(2), ..FaultPlan::none() };
+        let outputs = run_with_faults(&driver, 40, 8, faults).unwrap();
+        assert_eq!(outputs, reference(40, 8));
     }
 
     /// The resident-state test stage: each run is one "round"; the handler
@@ -1146,7 +1094,7 @@ mod tests {
         let mut reg = StageRegistry::new();
         reg.register("test/resident@1", resident_handler);
         let reg = Arc::new(reg);
-        let driver = ShardDriver { workers: 2, mode: DriverMode::Overlapped, max_retries: 0 };
+        let driver = ShardDriver { workers: 2, max_retries: 0 };
         let shards = 4usize;
         let plan = balanced_plan(8, shards);
         for cadence in [1usize, 4] {
@@ -1192,7 +1140,7 @@ mod tests {
 
     #[test]
     fn exhausted_retries_surface_as_a_typed_error() {
-        let driver = ShardDriver { workers: 1, mode: DriverMode::Overlapped, max_retries: 0 };
+        let driver = ShardDriver { workers: 1, max_retries: 0 };
         let faults = FaultPlan { die_after_replies: Some(1), ..FaultPlan::none() };
         match run_with_faults(&driver, 20, 4, faults) {
             Err(TransportError::RetriesExhausted { worker: 0, .. }) => {}

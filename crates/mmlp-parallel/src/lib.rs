@@ -20,7 +20,7 @@
 //!   backends: stages whose inputs and outputs can be serialised (the
 //!   [`WireStage`] seam) cross a real byte boundary — in memory with
 //!   deterministic fault injection, or into worker processes speaking the
-//!   [`wire`] protocol over stdio — dispatched by the lockstep/overlapped
+//!   [`wire`] protocol over stdio — dispatched by the pipelining
 //!   [`ShardDriver`].
 //! * [`BackendKind`] — a `Copy` selector carried inside option structs,
 //!   resolved to one of the built-in backends at the call site.
@@ -45,7 +45,7 @@ pub mod service;
 pub mod transport;
 pub mod wire;
 
-pub use driver::{DriverMode, LinkPool, RecoveryLog, ShardDriver, WireStage};
+pub use driver::{LinkPool, RecoveryLog, ShardDriver, WireStage};
 pub use service::{
     ServiceConfig, ServiceError, ServiceMetrics, SolveService, TenantCounters, TenantId, Ticket,
     SERVICE_QUEUE_CAP_ENV, SERVICE_WORKERS_ENV,
@@ -587,14 +587,14 @@ impl std::fmt::Debug for LoopbackBackend {
 }
 
 impl LoopbackBackend {
-    /// A faultless loopback backend with `shards` shards, one loopback
-    /// worker per shard, overlapped dispatch.
+    /// A faultless loopback backend with `shards` shards and one loopback
+    /// worker per shard.
     pub fn new(registry: Arc<StageRegistry>, shards: usize) -> Self {
         let shards = shards.max(1);
         Self {
             registry,
             shards,
-            driver: ShardDriver { workers: shards, mode: DriverMode::Overlapped, max_retries: 1 },
+            driver: ShardDriver { workers: shards, max_retries: 1 },
             faults: FaultPlan::none(),
             pool: Mutex::new((LinkPool::new(), Vec::new())),
         }
@@ -604,12 +604,6 @@ impl LoopbackBackend {
     /// shards pipelines several shards per worker).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.driver.workers = workers.max(1);
-        self
-    }
-
-    /// The same backend with a different dispatch discipline.
-    pub fn with_mode(mut self, mode: DriverMode) -> Self {
-        self.driver.mode = mode;
         self
     }
 
@@ -694,7 +688,7 @@ impl SolveBackend for LoopbackBackend {
 }
 
 /// How many shards each subprocess worker gets by default: a little
-/// pipelining depth so the overlapped driver has out-of-order replies to
+/// pipelining depth so the driver has out-of-order replies to
 /// buffer, without fragmenting the dedup tables.  Public so every
 /// plan-equivalent fallback (closure stages, simulator rounds) shards the
 /// same way the real backend does.
@@ -744,8 +738,8 @@ impl std::fmt::Debug for SubprocessBackend {
 
 impl SubprocessBackend {
     /// A subprocess backend with `workers` worker processes (spawned via
-    /// [`WorkerCommand::auto`]), two shards per worker, overlapped dispatch
-    /// and one respawn retry per worker.  `registry` is only used by the
+    /// [`WorkerCommand::auto`]), two shards per worker and one respawn
+    /// retry per worker.  `registry` is only used by the
     /// loopback fallback when the capability probe fails.
     pub fn new(workers: usize, registry: Arc<StageRegistry>) -> Self {
         let workers = workers.max(1);
@@ -753,7 +747,7 @@ impl SubprocessBackend {
             command: WorkerCommand::auto(),
             workers,
             shards: workers * SUBPROCESS_SHARDS_PER_WORKER,
-            driver: ShardDriver { workers, mode: DriverMode::Overlapped, max_retries: 1 },
+            driver: ShardDriver { workers, max_retries: 1 },
             registry,
             availability: OnceLock::new(),
             pool: Mutex::new(LinkPool::new()),
@@ -771,17 +765,6 @@ impl SubprocessBackend {
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
-    }
-
-    /// The same backend with a different dispatch discipline.
-    pub fn with_mode(mut self, mode: DriverMode) -> Self {
-        self.driver.mode = mode;
-        self
-    }
-
-    /// The same backend with lockstep dispatch (the no-pipelining baseline).
-    pub fn lockstep(self) -> Self {
-        self.with_mode(DriverMode::Lockstep)
     }
 
     /// Whether this environment can actually spawn worker processes
@@ -857,7 +840,6 @@ impl SubprocessBackend {
             let fallback = guard.get_or_insert_with(|| {
                 LoopbackBackend::new(self.registry.clone(), self.shards)
                     .with_workers(self.driver.workers)
-                    .with_mode(self.driver.mode)
             });
             return match recovery {
                 Some(log) => fallback.execute_stage_recoverable(items, stage, log),
@@ -882,10 +864,7 @@ impl SubprocessBackend {
 
 impl SolveBackend for SubprocessBackend {
     fn name(&self) -> &'static str {
-        match self.driver.mode {
-            DriverMode::Lockstep => "subprocess-lockstep",
-            DriverMode::Overlapped => "subprocess",
-        }
+        "subprocess"
     }
 
     fn plan(&self, items: usize) -> Vec<Shard> {
@@ -933,7 +912,7 @@ impl Drop for SubprocessBackend {
 }
 
 /// The process-wide pool of subprocess backends, keyed by worker count,
-/// dispatch mode, registry *content* fingerprint
+/// registry *content* fingerprint
 /// ([`StageRegistry::fingerprint`]) and the **resolved worker command**
 /// ([`WorkerCommand::auto`], rendered by `describe()` — the same identity
 /// the capability-probe verdict cache uses).
@@ -955,21 +934,17 @@ impl Drop for SubprocessBackend {
 /// control construct a [`SubprocessBackend`] directly.
 pub fn pooled_subprocess_backend(
     workers: usize,
-    overlapped: bool,
     registry: &Arc<StageRegistry>,
 ) -> Arc<SubprocessBackend> {
-    type PoolKey = (usize, bool, u64, String);
+    type PoolKey = (usize, u64, String);
     type BackendPool = Mutex<std::collections::HashMap<PoolKey, Arc<SubprocessBackend>>>;
     static POOL: OnceLock<BackendPool> = OnceLock::new();
     let pool = POOL.get_or_init(|| Mutex::new(std::collections::HashMap::new()));
     let mut pool = pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let command = WorkerCommand::auto().describe();
-    let key = (workers.max(1), overlapped, registry.fingerprint(), command);
+    let key = (workers.max(1), registry.fingerprint(), command);
     pool.entry(key)
-        .or_insert_with(|| {
-            let backend = SubprocessBackend::new(workers, registry.clone());
-            Arc::new(if overlapped { backend } else { backend.lockstep() })
-        })
+        .or_insert_with(|| Arc::new(SubprocessBackend::new(workers, registry.clone())))
         .clone()
 }
 
@@ -1000,8 +975,6 @@ pub enum BackendKind {
     Subprocess {
         /// Number of worker processes (clamped to ≥ 1).
         workers: usize,
-        /// Overlapped (pipelined) or lockstep dispatch.
-        overlapped: bool,
     },
 }
 
@@ -1034,7 +1007,7 @@ impl BackendKind {
             BackendKind::Loopback { shards } => {
                 backend_map(&Sharded::new(*shards, *parallel), stage, items, f)
             }
-            BackendKind::Subprocess { workers, .. } => backend_map(
+            BackendKind::Subprocess { workers } => backend_map(
                 &Sharded::new(workers * SUBPROCESS_SHARDS_PER_WORKER, *parallel),
                 stage,
                 items,
@@ -1348,16 +1321,16 @@ mod tests {
         assert_ne!(build(false).fingerprint(), swapped.fingerprint());
         // So a fresh-but-identical registry per call reuses one pooled
         // backend instead of leaking a worker pool per call.
-        let first = pooled_subprocess_backend(2, true, &build(false));
-        let second = pooled_subprocess_backend(2, true, &build(false));
+        let first = pooled_subprocess_backend(2, &build(false));
+        let second = pooled_subprocess_backend(2, &build(false));
         assert!(Arc::ptr_eq(&first, &second));
-        let lockstep = pooled_subprocess_backend(2, false, &build(false));
-        assert!(!Arc::ptr_eq(&first, &lockstep));
+        let wider = pooled_subprocess_backend(3, &build(false));
+        assert!(!Arc::ptr_eq(&first, &wider));
     }
 
     #[test]
     fn changing_the_worker_binary_rekeys_the_backend_pool() {
-        // Regression: the pool used to key only by (workers, mode,
+        // Regression: the pool used to key only by (workers,
         // fingerprint), so flipping `MMLP_WORKER_BIN` mid-process kept
         // handing out a stale pool of workers spawned from the old binary.
         // Construction is lazy (workers spawn on first stage), so the
@@ -1375,15 +1348,15 @@ mod tests {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let previous = std::env::var_os(WORKER_BIN_ENV);
         std::env::set_var(WORKER_BIN_ENV, "/nonexistent/mmlp-pool-rekey-a");
-        let a1 = pooled_subprocess_backend(2, true, &registry);
-        let a2 = pooled_subprocess_backend(2, true, &registry);
+        let a1 = pooled_subprocess_backend(2, &registry);
+        let a2 = pooled_subprocess_backend(2, &registry);
         assert!(Arc::ptr_eq(&a1, &a2), "a stable worker binary reuses its pool");
         std::env::set_var(WORKER_BIN_ENV, "/nonexistent/mmlp-pool-rekey-b");
-        let b = pooled_subprocess_backend(2, true, &registry);
+        let b = pooled_subprocess_backend(2, &registry);
         assert!(!Arc::ptr_eq(&a1, &b), "a changed MMLP_WORKER_BIN must not reuse the stale pool");
         // Switching back resolves to the original pool again.
         std::env::set_var(WORKER_BIN_ENV, "/nonexistent/mmlp-pool-rekey-a");
-        let a3 = pooled_subprocess_backend(2, true, &registry);
+        let a3 = pooled_subprocess_backend(2, &registry);
         assert!(Arc::ptr_eq(&a1, &a3));
         match previous {
             Some(v) => std::env::set_var(WORKER_BIN_ENV, v),

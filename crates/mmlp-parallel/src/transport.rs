@@ -764,7 +764,7 @@ fn find_sibling_worker() -> Option<PathBuf> {
 ///
 /// **Sends never block.**  Outgoing frames are handed to a dedicated writer
 /// thread over a channel; only [`recv`](WorkerLink::recv) blocks on the
-/// process.  This is what makes the overlapped driver deadlock-free: with
+/// process.  This is what makes the pipelining driver deadlock-free: with
 /// synchronous writes, eagerly dispatching a multi-hundred-kilobyte job
 /// queue can fill the worker's stdin pipe while the worker is itself
 /// blocked filling its stdout pipe with a large reply — both sides stuck.

@@ -139,7 +139,7 @@ pub mod prelude {
     pub use crate::distsim::{
         distsim_registry, gather_views, Action, CheckpointPolicy, EpochTicket, GatherMessage,
         GatherProgram, LocalView, Network, NodeProgram, SimError, SimulationResult, Simulator,
-        SimulatorConfig, WireProgram, GATHER_PROGRAM_ID, STAGE_SIM_EPOCH, STAGE_SIM_ROUND,
+        SimulatorConfig, WireProgram, GATHER_PROGRAM_ID, STAGE_SIM_EPOCH,
     };
     pub use crate::hypergraph::{
         communication_hypergraph, growth_profile, Graph, GrowthProfile, Hypergraph,
@@ -155,11 +155,11 @@ pub mod prelude {
         solve_maxmin, solve_maxmin_with, CertifiedInterval, LpProblem, LpStatus, SimplexOptions,
     };
     pub use crate::parallel::{
-        backend_map, par_map, par_map_with, probe_worker, BackendKind, DriverMode, FaultPlan,
-        LoopbackBackend, ParallelConfig, RecoveryLog, ScopedThreads, Sequential, ServiceConfig,
-        ServiceError, ServiceMetrics, Shard, ShardStats, Sharded, SolveBackend, SolveService,
-        StageRegistry, StageStats, SubprocessBackend, TenantCounters, TenantId, Ticket,
-        TransportError, WireError, WorkerCommand,
+        backend_map, par_map, par_map_with, probe_worker, BackendKind, FaultPlan, LoopbackBackend,
+        ParallelConfig, RecoveryLog, ScopedThreads, Sequential, ServiceConfig, ServiceError,
+        ServiceMetrics, Shard, ShardStats, Sharded, SolveBackend, SolveService, StageRegistry,
+        StageStats, SubprocessBackend, TenantCounters, TenantId, Ticket, TransportError, WireError,
+        WorkerCommand,
     };
 }
 

@@ -124,17 +124,16 @@ fn local_averaging_paths_are_bit_identical() {
 
 /// The full execution matrix of the engine: batched (the reference), naive
 /// per-agent, and every backend at ≥2 shard counts — including the loopback
-/// transport (full wire format in memory), the subprocess backend (real
-/// worker processes) and the overlapped driver: all bit-identical, with
+/// transport (full wire format in memory) and the subprocess backend (real
+/// worker processes): all bit-identical, with
 /// identical class and dedup counts, on every generator, seed and radius.
 #[test]
 fn backends_and_shard_counts_are_bit_identical() {
-    // One pooled subprocess backend per dispatch mode for the whole matrix
-    // (workers persist across runs).  Where the sandbox cannot spawn
-    // processes, the capability probe falls back to the loopback transport
-    // with a logged skip — the bit-identity assertions hold either way.
-    let subprocess_lockstep = SubprocessBackend::new(2, engine_registry()).lockstep();
-    let subprocess_overlapped = SubprocessBackend::new(2, engine_registry());
+    // One subprocess backend for the whole matrix (workers persist across
+    // runs).  Where the sandbox cannot spawn processes, the capability probe
+    // falls back to the loopback transport with a logged skip — the
+    // bit-identity assertions hold either way.
+    let subprocess = SubprocessBackend::new(2, engine_registry());
     for seed in 0..5u64 {
         for (name, inst) in generator_instances(seed) {
             for radius in [1usize, 2] {
@@ -181,27 +180,22 @@ fn backends_and_shard_counts_are_bit_identical() {
                     assert_eq!(reference.stats.cache_hits, sharded.stats.cache_hits);
                 }
 
-                for (label, backend) in [
-                    ("subprocess-lockstep", &subprocess_lockstep),
-                    ("subprocess-overlapped", &subprocess_overlapped),
-                ] {
-                    let remote =
-                        solve_local_lps_on(&inst, &LocalLpOptions::new(radius), backend).unwrap();
-                    assert_eq!(
-                        reference.local_x, remote.local_x,
-                        "{label} on {name}, seed {seed}, R={radius}"
-                    );
-                    assert_eq!(reference.balls, remote.balls);
-                    assert_eq!(reference.class_of_ball, remote.class_of_ball);
-                    assert_eq!(reference.class_keys, remote.class_keys);
-                    assert_eq!(reference.class_solutions, remote.class_solutions);
-                    assert_eq!(
-                        reference.stats.distinct_presentations,
-                        remote.stats.distinct_presentations
-                    );
-                    assert_eq!(reference.stats.unique_classes, remote.stats.unique_classes);
-                    assert_eq!(reference.stats.cache_hits, remote.stats.cache_hits);
-                }
+                let remote =
+                    solve_local_lps_on(&inst, &LocalLpOptions::new(radius), &subprocess).unwrap();
+                assert_eq!(
+                    reference.local_x, remote.local_x,
+                    "subprocess on {name}, seed {seed}, R={radius}"
+                );
+                assert_eq!(reference.balls, remote.balls);
+                assert_eq!(reference.class_of_ball, remote.class_of_ball);
+                assert_eq!(reference.class_keys, remote.class_keys);
+                assert_eq!(reference.class_solutions, remote.class_solutions);
+                assert_eq!(
+                    reference.stats.distinct_presentations,
+                    remote.stats.distinct_presentations
+                );
+                assert_eq!(reference.stats.unique_classes, remote.stats.unique_classes);
+                assert_eq!(reference.stats.cache_hits, remote.stats.cache_hits);
             }
         }
     }
@@ -216,8 +210,7 @@ fn service_backends() -> Vec<(String, BackendKind)> {
         BackendKind::ScopedThreads,
         BackendKind::Sharded { shards: 2 },
         BackendKind::Loopback { shards: 3 },
-        BackendKind::Subprocess { workers: 2, overlapped: false },
-        BackendKind::Subprocess { workers: 2, overlapped: true },
+        BackendKind::Subprocess { workers: 2 },
     ]
     .into_iter()
     .map(|b| (format!("{b:?}"), b))

@@ -1,11 +1,11 @@
-//! Conformance matrix for the distributed simulator's typed-message tier.
+//! Conformance matrix for the distributed simulator's typed-message tier
+//! (`mmlp/sim-epoch@1`).
 //!
-//! The acceptance criterion of the message-typed program refactor: for
-//! simulator runs of every wire program, **every backend × shard count ×
-//! driver mode** produces per-node outputs bit-identical to the sequential
-//! (closure-tier, shared-memory) simulator, with identical message counts,
-//! message units, per-round message histograms, round counts and halting
-//! rounds.  No tolerances anywhere in this file.
+//! For simulator runs of every wire program, **every backend × shard count
+//! × radius**, and a sweep of checkpoint cadences, produces per-node
+//! outputs bit-identical to the sequential (closure-tier, shared-memory)
+//! simulator, with identical message counts, message units, per-round
+//! message histograms, round counts and halting rounds.  No tolerances anywhere in this file.
 //!
 //! Covered matrix:
 //!
@@ -14,17 +14,14 @@
 //!   processes, falling back to loopback with a logged skip where the
 //!   sandbox cannot fork/exec);
 //! * shard counts — {1, 2, 5} wherever the backend has a shard knob;
-//! * driver modes — lockstep and overlapped dispatch for the transport
-//!   backends.
+//! * checkpoint cadences — the default (every 16 rounds) across the whole
+//!   matrix; never, every round and every 4 rounds on the epoch matrix.
 //!
 //! Programs: the gathering protocol (`mmlp/prog/gather@1`) and the
 //! gather-then-decide rule program (`mmlp/prog/local-rule@1`) for both of
 //! the paper's algorithms, whose solutions are additionally asserted equal
-//! to the centralised computations.
-//!
-//! The worker-resident tier (`mmlp/sim-epoch@1`) is held to the same bar:
-//! the epoch matrix sweeps backends × checkpoint cadences and the recovery
-//! fault cases live in `transport_faults.rs`.
+//! to the centralised computations.  The recovery fault cases live in
+//! `transport_faults.rs`.
 
 use maxmin_local_lp::prelude::*;
 use rand::rngs::StdRng;
@@ -58,66 +55,6 @@ fn assert_run_identical<O: PartialEq + std::fmt::Debug>(
 }
 
 #[test]
-fn gather_matrix_backends_shards_and_driver_modes_are_bit_identical() {
-    let inst = workload();
-    let simulator = Simulator::sequential();
-    for radius in [1usize, 2] {
-        let (network, program) = gather_setup(&inst, radius);
-        // The reference is the original shared-memory simulator.
-        let reference = simulator.run(&network, &program).unwrap();
-
-        let run = simulator.run_wire_on(&network, &program, &Sequential).unwrap();
-        assert_run_identical("sequential", &run, &reference);
-
-        let scoped = ScopedThreads::new(ParallelConfig::with_threads(4));
-        let run = simulator.run_wire_on(&network, &program, &scoped).unwrap();
-        assert_run_identical("scoped-threads", &run, &reference);
-
-        for shards in [1usize, 2, 5] {
-            let backend = Sharded::new(shards, ParallelConfig::with_threads(3));
-            let run = simulator.run_wire_on(&network, &program, &backend).unwrap();
-            assert_run_identical(&format!("sharded-{shards}"), &run, &reference);
-        }
-
-        for shards in [1usize, 2, 5] {
-            for mode in [DriverMode::Lockstep, DriverMode::Overlapped] {
-                let backend = LoopbackBackend::new(engine_registry(), shards)
-                    .with_workers(2)
-                    .with_mode(mode);
-                let run = simulator.run_wire_on(&network, &program, &backend).unwrap();
-                assert_run_identical(&format!("loopback-{shards}-{mode:?}"), &run, &reference);
-            }
-        }
-    }
-}
-
-#[test]
-fn gather_matrix_subprocess_backends_are_bit_identical() {
-    // One pooled subprocess backend per dispatch mode (workers persist
-    // across shard counts and radii); where the sandbox cannot spawn
-    // processes the capability probe falls back to the loopback transport
-    // with a logged skip — the assertions hold either way.
-    let inst = workload();
-    let simulator = Simulator::sequential();
-    for overlapped in [false, true] {
-        for shards in [1usize, 2, 5] {
-            let backend = SubprocessBackend::new(2, engine_registry()).with_shards(shards);
-            let backend = if overlapped { backend } else { backend.lockstep() };
-            for radius in [1usize, 2] {
-                let (network, program) = gather_setup(&inst, radius);
-                let reference = simulator.run(&network, &program).unwrap();
-                let run = simulator.run_wire_on(&network, &program, &backend).unwrap();
-                assert_run_identical(
-                    &format!("subprocess overlapped={overlapped} shards={shards} r={radius}"),
-                    &run,
-                    &reference,
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn backend_kind_dispatch_runs_typed_programs_across_the_boundary() {
     // The `SimulatorConfig::backend` path: every selector — including the
     // transport kinds, which used to silently fall back to an in-process
@@ -133,12 +70,11 @@ fn backend_kind_dispatch_runs_typed_programs_across_the_boundary() {
         BackendKind::Sharded { shards: 5 },
         BackendKind::Loopback { shards: 2 },
         BackendKind::Loopback { shards: 5 },
-        BackendKind::Subprocess { workers: 2, overlapped: false },
-        BackendKind::Subprocess { workers: 2, overlapped: true },
+        BackendKind::Subprocess { workers: 2 },
     ] {
         let simulator =
             Simulator::with_config(SimulatorConfig { backend, ..SimulatorConfig::default() });
-        let run = simulator.run_typed(&network, &program, &engine_registry()).unwrap();
+        let run = simulator.run_typed_epoch(&network, &program, &engine_registry()).unwrap();
         assert_run_identical(&format!("{backend:?}"), &run, &reference);
         // `gather_views` routes the transport kinds through the same path.
         let views = gather_views(&inst, 2, &simulator).unwrap();
@@ -168,8 +104,7 @@ fn rule_programs_match_the_central_algorithms_across_every_transport() {
         BackendKind::Sharded { shards: 5 },
         BackendKind::Loopback { shards: 2 },
         BackendKind::Loopback { shards: 5 },
-        BackendKind::Subprocess { workers: 2, overlapped: true },
-        BackendKind::Subprocess { workers: 2, overlapped: false },
+        BackendKind::Subprocess { workers: 2 },
     ] {
         let simulator =
             Simulator::with_config(SimulatorConfig { backend, ..SimulatorConfig::default() });
@@ -200,53 +135,111 @@ fn wire_tier_respects_the_round_limit() {
         backend: BackendKind::Sequential,
         ..SimulatorConfig::default()
     });
-    match simulator.run_wire_on(&network, &program, &Sequential) {
-        Err(SimError::RoundLimitExceeded { limit: 2, .. }) => {}
-        other => panic!("expected the round limit, got {other:?}"),
+    let loopback = LoopbackBackend::new(engine_registry(), 3).with_workers(2);
+    for run in [
+        simulator.run_epoch_on(&network, &program, &Sequential),
+        simulator.run_epoch_on(&network, &program, &loopback),
+    ] {
+        match run {
+            Err(SimError::RoundLimitExceeded { limit: 2, .. }) => {}
+            other => panic!("expected the round limit, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn gather_matrix_backends_shards_and_driver_modes_are_bit_identical() {
+    // Every in-process backend and the in-memory wire transport, over the
+    // shard counts and radii, at the default checkpoint cadence.  The shard
+    // driver has a single dispatch discipline (every worker's queue ships up
+    // front), so the driver-mode axis is that one discipline.
+    let inst = workload();
+    let simulator = Simulator::with_config(SimulatorConfig {
+        parallel: ParallelConfig::sequential(),
+        ..SimulatorConfig::default()
+    });
+    for radius in [1usize, 2] {
+        let (network, program) = gather_setup(&inst, radius);
+        // The reference is the original shared-memory simulator.
+        let reference = Simulator::sequential().run(&network, &program).unwrap();
+
+        let run = simulator.run_epoch_on(&network, &program, &Sequential).unwrap();
+        assert_run_identical(&format!("sequential r={radius}"), &run, &reference);
+
+        let scoped = ScopedThreads::new(ParallelConfig::with_threads(4));
+        let run = simulator.run_epoch_on(&network, &program, &scoped).unwrap();
+        assert_run_identical(&format!("scoped-threads r={radius}"), &run, &reference);
+
+        for shards in [1usize, 2, 5] {
+            let sharded = Sharded::new(shards, ParallelConfig::with_threads(3));
+            let run = simulator.run_epoch_on(&network, &program, &sharded).unwrap();
+            assert_run_identical(&format!("sharded-{shards} r={radius}"), &run, &reference);
+
+            let loopback = LoopbackBackend::new(engine_registry(), shards).with_workers(2);
+            let run = simulator.run_epoch_on(&network, &program, &loopback).unwrap();
+            assert_run_identical(&format!("loopback-{shards} r={radius}"), &run, &reference);
+        }
+    }
+}
+
+#[test]
+fn gather_matrix_subprocess_backends_are_bit_identical() {
+    // One pooled subprocess backend per shard count (its workers persist
+    // across radii); where the sandbox cannot spawn processes the
+    // capability probe falls back to the loopback transport with a logged
+    // skip — the assertions hold either way.
+    let inst = workload();
+    let simulator = Simulator::with_config(SimulatorConfig {
+        parallel: ParallelConfig::sequential(),
+        ..SimulatorConfig::default()
+    });
+    for shards in [1usize, 2, 5] {
+        let backend = SubprocessBackend::new(2, engine_registry()).with_shards(shards);
+        for radius in [1usize, 2] {
+            let (network, program) = gather_setup(&inst, radius);
+            let reference = Simulator::sequential().run(&network, &program).unwrap();
+            let run = simulator.run_epoch_on(&network, &program, &backend).unwrap();
+            assert_run_identical(&format!("subprocess-{shards} r={radius}"), &run, &reference);
+        }
     }
 }
 
 #[test]
 fn epoch_tier_matrix_is_bit_identical_to_the_sequential_simulator() {
-    // The worker-resident tier (`mmlp/sim-epoch@1`): state stays on the
-    // workers between rounds, jobs carry only inter-shard message batches,
-    // and several checkpoint cadences are swept so snapshot rounds and
-    // snapshot-free rounds both cross the boundary.
+    // State stays on the workers between rounds, jobs carry only
+    // inter-shard message batches, and several checkpoint cadences are
+    // swept so snapshot rounds and snapshot-free rounds both cross the
+    // boundary.  The two gather matrices above cover the remaining backends
+    // and shard counts at the default cadence.
     let inst = workload();
-    let simulator = Simulator::sequential();
+    let subprocess = SubprocessBackend::new(2, engine_registry()).with_shards(5);
     for radius in [1usize, 2] {
         let (network, program) = gather_setup(&inst, radius);
-        let reference = simulator.run(&network, &program).unwrap();
+        let reference = Simulator::sequential().run(&network, &program).unwrap();
 
         for every in [0usize, 1, 4] {
-            let epoch_sim = Simulator::with_config(SimulatorConfig {
+            let simulator = Simulator::with_config(SimulatorConfig {
                 parallel: ParallelConfig::sequential(),
                 checkpoint: CheckpointPolicy::every(every),
                 ..SimulatorConfig::default()
             });
-            let run = epoch_sim.run_epoch_on(&network, &program, &Sequential).unwrap();
-            assert_run_identical(&format!("epoch sequential k={every}"), &run, &reference);
+            let label = |backend: &str| format!("{backend} r={radius} k={every}");
+
+            let run = simulator.run_epoch_on(&network, &program, &Sequential).unwrap();
+            assert_run_identical(&label("sequential"), &run, &reference);
 
             for shards in [1usize, 2, 5] {
-                let backend = Sharded::new(shards, ParallelConfig::with_threads(3));
-                let run = epoch_sim.run_epoch_on(&network, &program, &backend).unwrap();
-                assert_run_identical(
-                    &format!("epoch sharded-{shards} k={every}"),
-                    &run,
-                    &reference,
-                );
+                let sharded = Sharded::new(shards, ParallelConfig::with_threads(3));
+                let run = simulator.run_epoch_on(&network, &program, &sharded).unwrap();
+                assert_run_identical(&label(&format!("sharded-{shards}")), &run, &reference);
             }
 
-            for mode in [DriverMode::Lockstep, DriverMode::Overlapped] {
-                let backend =
-                    LoopbackBackend::new(engine_registry(), 5).with_workers(2).with_mode(mode);
-                let run = epoch_sim.run_epoch_on(&network, &program, &backend).unwrap();
-                assert_run_identical(
-                    &format!("epoch loopback-{mode:?} k={every}"),
-                    &run,
-                    &reference,
-                );
-            }
+            let loopback = LoopbackBackend::new(engine_registry(), 5).with_workers(2);
+            let run = simulator.run_epoch_on(&network, &program, &loopback).unwrap();
+            assert_run_identical(&label("loopback-5"), &run, &reference);
+
+            let run = simulator.run_epoch_on(&network, &program, &subprocess).unwrap();
+            assert_run_identical(&label("subprocess-5"), &run, &reference);
         }
     }
 }
@@ -261,8 +254,7 @@ fn epoch_tier_runs_on_subprocess_workers_and_backend_kind_dispatch() {
         BackendKind::ScopedThreads,
         BackendKind::Sharded { shards: 5 },
         BackendKind::Loopback { shards: 5 },
-        BackendKind::Subprocess { workers: 2, overlapped: false },
-        BackendKind::Subprocess { workers: 2, overlapped: true },
+        BackendKind::Subprocess { workers: 2 },
     ] {
         let simulator = Simulator::with_config(SimulatorConfig {
             backend,

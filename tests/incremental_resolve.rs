@@ -149,13 +149,10 @@ fn incremental_through_the_subprocess_boundary() {
     let inst = workload();
     let delta = churn_delta(&inst, 5, 1, 47);
     let cold = solve_local_lps(&delta.apply(&inst).unwrap(), &LocalLpOptions::new(1)).unwrap();
-    for overlapped in [false, true] {
-        let options =
-            LocalLpOptions::new(1).with_backend(BackendKind::Subprocess { workers: 2, overlapped });
-        let base = register_base(&inst, &options, 1).unwrap();
-        let run = solve_local_lps_incremental(&base, &delta).unwrap();
-        assert_matches_cold(&run, &cold, &format!("subprocess overlapped={overlapped}"));
-    }
+    let options = LocalLpOptions::new(1).with_backend(BackendKind::Subprocess { workers: 2 });
+    let base = register_base(&inst, &options, 1).unwrap();
+    let run = solve_local_lps_incremental(&base, &delta).unwrap();
+    assert_matches_cold(&run, &cold, "subprocess");
 }
 
 #[test]

@@ -154,7 +154,7 @@ fn guarantees_hold_through_the_subprocess_backend_at_radius_3() {
         let result = local_averaging(
             &inst,
             &LocalAveragingOptions::new(radius)
-                .with_backend(BackendKind::Subprocess { workers: 2, overlapped: true }),
+                .with_backend(BackendKind::Subprocess { workers: 2 }),
         )
         .unwrap();
         assert!(

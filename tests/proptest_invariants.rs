@@ -16,7 +16,10 @@
 //! * the transport wire format: encode→decode is the identity for arbitrary
 //!   frames and engine payloads, single-byte corruption of a frame is
 //!   always detected (CRC-32), and decoding arbitrary byte noise returns a
-//!   typed error — no panic, no hang, no silently wrong frame.
+//!   typed error — no panic, no hang, no silently wrong frame;
+//! * the simulator's wire tier: program and network codecs round-trip, and
+//!   noise fed to the `mmlp/sim-epoch@1` worker handler (as a job or a
+//!   restore snapshot) and to the host's reply decoder never panics.
 
 use maxmin_local_lp::algorithms::transport::{
     put_canonical_form, put_instance, put_instance_delta, read_canonical_form, read_instance,
@@ -419,7 +422,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // ---- The simulator's message/state codecs (the `mmlp/sim-round@1`
+    // ---- The simulator's message/state codecs (the `mmlp/sim-epoch@1`
     // payloads): identity round-trips, frame-level byte-flip detection and
     // noise rejection, mirroring the engine payload properties above. ----
 
@@ -498,7 +501,7 @@ proptest! {
     }
 
     #[test]
-    fn sim_round_payload_flips_inside_a_frame_are_always_detected(
+    fn gather_message_flips_inside_a_frame_are_always_detected(
         (cfg, seed) in instance_config(),
         flip in any::<u64>(),
         xor in 1u64..256,
@@ -523,9 +526,14 @@ proptest! {
     }
 
     #[test]
-    fn sim_round_decoders_never_panic_on_noise(seed in any::<u64>(), len in 0usize..400) {
+    fn program_network_and_epoch_decoders_never_panic_on_noise(
+        seed in any::<u64>(),
+        len in 0usize..400,
+    ) {
         use maxmin_local_lp::distsim::gather::{read_knowledge, read_local_view};
-        use maxmin_local_lp::distsim::read_network;
+        use maxmin_local_lp::distsim::{handle_sim_epoch, put_network, read_network};
+        use maxmin_local_lp::parallel::wire::{put_str, put_u64, put_u8, put_usize};
+        use maxmin_local_lp::parallel::StageCache;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x51b407);
         let noise: Vec<u8> = (0..len).map(|_| rng.gen_range(0u64..256) as u8).collect();
         // Any outcome but a panic is acceptable.
@@ -537,7 +545,84 @@ proptest! {
             let _ = program.decode_state(&mut ByteReader::new(&noise));
             let _ = WireProgram::decode_message(&program, &mut ByteReader::new(&noise));
         }
+
+        // The epoch tier's worker handler behind a valid gather context.
+        let (network, program) = small_gather();
+        let n = network.num_nodes();
+        let mut ctx = Vec::new();
+        put_str(&mut ctx, program.program_id());
+        program.encode_config(&mut ctx);
+        put_network(&mut ctx, &network);
+        let header = |round: usize| {
+            let mut job = Vec::new();
+            put_usize(&mut job, round);
+            put_u8(&mut job, 0);
+            put_u64(&mut job, seed);
+            put_usize(&mut job, 0);
+            put_usize(&mut job, n);
+            job
+        };
+        // Noise as the whole job, and as the batches after a valid header.
+        let _ = handle_sim_epoch::<GatherProgram>(&ctx, &noise, &mut StageCache::new());
+        let mut job = header(0);
+        job.extend_from_slice(&noise);
+        let _ = handle_sim_epoch::<GatherProgram>(&ctx, &job, &mut StageCache::new());
+        // Noise as a queued restore snapshot, bare and behind a valid
+        // snapshot header, followed by a well-formed round-1 job.
+        let mut snapshot = Vec::new();
+        put_usize(&mut snapshot, 0);
+        put_u64(&mut snapshot, seed);
+        put_usize(&mut snapshot, 0);
+        put_usize(&mut snapshot, n);
+        snapshot.extend_from_slice(&noise);
+        let mut job = header(1);
+        put_usize(&mut job, 0);
+        for restore in [noise.clone(), snapshot] {
+            let mut cache = StageCache::new();
+            cache.push_restore(restore);
+            let _ = handle_sim_epoch::<GatherProgram>(&ctx, &job, &mut cache);
+        }
+
+        // The host's reply decoder: a worker answering every round with
+        // noise, bare and behind a valid count and first node id.
+        let mut registry = StageRegistry::new();
+        registry.register(STAGE_SIM_EPOCH, noise_reply);
+        let backend = LoopbackBackend::new(std::sync::Arc::new(registry), 1);
+        let simulator = Simulator::with_config(SimulatorConfig {
+            max_rounds: 4,
+            parallel: ParallelConfig::sequential(),
+            ..SimulatorConfig::default()
+        });
+        let mut prefixed = Vec::new();
+        put_usize(&mut prefixed, n);
+        put_usize(&mut prefixed, 0);
+        prefixed.extend_from_slice(&noise);
+        for reply in [noise.clone(), prefixed] {
+            *NOISE_REPLY.lock().unwrap() = reply;
+            let _ = simulator.run_epoch_on(&network, &program, &backend);
+        }
     }
+}
+
+/// A 3×3 grid's radius-1 gathering protocol: the smallest workload with
+/// every node shape (corner, edge, centre).
+fn small_gather() -> (Network, GatherProgram) {
+    let cfg = GridConfig { side_lengths: vec![3, 3], torus: false, random_weights: true };
+    let inst = grid_instance(&cfg, &mut StdRng::seed_from_u64(3));
+    let (h, _) = communication_hypergraph(&inst);
+    (Network::from_hypergraph(&h), GatherProgram::new(&inst, 1))
+}
+
+/// The reply [`noise_reply`] serves (only the noise property sets it).
+static NOISE_REPLY: std::sync::Mutex<Vec<u8>> = std::sync::Mutex::new(Vec::new());
+
+/// A sim-epoch worker handler that answers every job with [`NOISE_REPLY`].
+fn noise_reply(
+    _ctx: &[u8],
+    _job: &[u8],
+    _cache: &mut maxmin_local_lp::parallel::StageCache,
+) -> Result<Vec<u8>, String> {
+    Ok(NOISE_REPLY.lock().unwrap().clone())
 }
 
 proptest! {

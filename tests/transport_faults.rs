@@ -44,13 +44,11 @@ fn loopback(faults: FaultPlan) -> LoopbackBackend {
 fn faultless_loopback_is_bit_identical() {
     let inst = workload();
     let reference = reference(&inst);
-    for mode in [DriverMode::Lockstep, DriverMode::Overlapped] {
-        let backend = loopback(FaultPlan::none()).with_mode(mode);
-        let batch = solve_local_lps_on(&inst, &LocalLpOptions::new(1), &backend).unwrap();
-        assert_eq!(batch.local_x, reference.local_x, "{mode:?}");
-        assert_eq!(batch.class_of_ball, reference.class_of_ball, "{mode:?}");
-        assert_eq!(batch.class_keys, reference.class_keys, "{mode:?}");
-    }
+    let batch =
+        solve_local_lps_on(&inst, &LocalLpOptions::new(1), &loopback(FaultPlan::none())).unwrap();
+    assert_eq!(batch.local_x, reference.local_x);
+    assert_eq!(batch.class_of_ball, reference.class_of_ball);
+    assert_eq!(batch.class_keys, reference.class_keys);
 }
 
 #[test]
@@ -212,84 +210,19 @@ fn an_aborted_run_leaves_the_same_pooled_backend_usable() {
 }
 
 // ---------------------------------------------------------------------------
-// The distributed simulator under injected faults: inter-round message
-// batches are shard replies of the `mmlp/sim-round@1` stage, so the
-// driver's ordered merge and respawn-and-resend retry must absorb (or
-// surface, typed) every fault without ever changing a view.
+// The distributed simulator (`mmlp/sim-epoch@1`) under injected faults:
+// inter-round message batches are shard replies, so the driver's ordered
+// merge must absorb (or surface, typed) every fault without ever changing a
+// view.  State lives on the workers between rounds, so killing a worker
+// loses state and recovery must come from the checkpoint/restore protocol —
+// the driver restores the newest snapshot into the respawned worker and
+// replays the buffered job frames since that epoch.
 // ---------------------------------------------------------------------------
 
 fn gather_setup(inst: &MaxMinInstance, radius: usize) -> (Network, GatherProgram) {
     let (h, _) = communication_hypergraph(inst);
     (Network::from_hypergraph(&h), GatherProgram::new(inst, radius))
 }
-
-#[test]
-fn duplicated_inter_round_message_batch_is_dropped_by_the_ordered_merge() {
-    // Every reply of a simulator round carries one shard's inter-round
-    // message batch.  Duplicating (and reordering) those batches must be
-    // absorbed by the by-sequence merge: each batch is applied exactly
-    // once, so views, message counts and round counts all stay identical.
-    let inst = workload();
-    let (network, program) = gather_setup(&inst, 2);
-    let simulator = Simulator::sequential();
-    let reference = simulator.run(&network, &program).unwrap();
-    let backend = loopback(FaultPlan {
-        duplicate_replies: (0..60).collect(),
-        reorder_seed: Some(13),
-        ..FaultPlan::none()
-    });
-    let wired = simulator.run_wire_on(&network, &program, &backend).unwrap();
-    assert_eq!(wired.outputs, reference.outputs);
-    assert_eq!(wired.messages, reference.messages);
-    assert_eq!(wired.rounds, reference.rounds);
-    assert_eq!(wired.messages_per_round, reference.messages_per_round);
-}
-
-#[test]
-fn killed_worker_mid_simulation_is_respawned_to_an_identical_result() {
-    // State travels with every round's jobs, so a respawned worker simply
-    // recomputes the lost batches from the resent bytes.
-    let inst = workload();
-    let (network, program) = gather_setup(&inst, 2);
-    let simulator = Simulator::sequential();
-    let reference = simulator.run(&network, &program).unwrap();
-    let backend =
-        loopback(FaultPlan { die_after_replies: Some(2), ..FaultPlan::none() }).with_max_retries(1);
-    let wired = simulator.run_wire_on(&network, &program, &backend).unwrap();
-    assert_eq!(wired.outputs, reference.outputs);
-    assert_eq!(wired.messages, reference.messages);
-}
-
-#[test]
-fn truncated_round_batch_aborts_the_simulation_with_a_typed_error() {
-    let inst = workload();
-    let (network, program) = gather_setup(&inst, 2);
-    let backend = loopback(FaultPlan { truncate_replies: vec![1], ..FaultPlan::none() });
-    match Simulator::sequential().run_wire_on(&network, &program, &backend) {
-        Err(SimError::Transport(TransportError::Wire(WireError::Truncated { .. }))) => {}
-        other => panic!("expected a truncation error, got {other:?}"),
-    }
-}
-
-#[test]
-fn simulation_death_past_the_retry_budget_is_a_typed_error() {
-    let inst = workload();
-    let (network, program) = gather_setup(&inst, 2);
-    let backend =
-        loopback(FaultPlan { die_after_replies: Some(1), ..FaultPlan::none() }).with_max_retries(0);
-    match Simulator::sequential().run_wire_on(&network, &program, &backend) {
-        Err(SimError::Transport(TransportError::RetriesExhausted { .. })) => {}
-        other => panic!("expected exhausted retries, got {other:?}"),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The worker-resident tier (`mmlp/sim-epoch@1`) under injected faults: state
-// lives on the workers between rounds, so killing a worker loses state and
-// recovery must come from the checkpoint/restore protocol — the driver
-// restores the newest snapshot into the respawned worker and replays the
-// buffered job frames since that epoch.
-// ---------------------------------------------------------------------------
 
 fn epoch_simulator(checkpoint_every: usize) -> Simulator {
     Simulator::with_config(SimulatorConfig {
@@ -353,7 +286,7 @@ fn epoch_duplicated_and_reordered_frames_are_absorbed() {
 #[test]
 fn epoch_death_past_the_retry_budget_is_a_typed_error() {
     // With a zero respawn budget the restore protocol never gets to run:
-    // the death must surface as the same typed error as the stateless tier,
+    // the death must surface as the same typed error as the engine stages,
     // not a hang or a wrong answer.
     let inst = workload();
     let (network, program) = gather_setup(&inst, 2);
@@ -399,18 +332,15 @@ fn subprocess_backend_is_bit_identical_end_to_end() {
     }
     let inst = workload();
     let reference = reference(&inst);
-    for overlapped in [false, true] {
-        let batch = solve_local_lps(
-            &inst,
-            &LocalLpOptions::new(1)
-                .with_backend(BackendKind::Subprocess { workers: 2, overlapped }),
-        )
-        .unwrap();
-        assert_eq!(batch.local_x, reference.local_x, "overlapped={overlapped}");
-        assert_eq!(batch.class_of_ball, reference.class_of_ball);
-        assert_eq!(batch.class_keys, reference.class_keys);
-        assert_eq!(batch.class_solutions, reference.class_solutions);
-    }
+    let batch = solve_local_lps(
+        &inst,
+        &LocalLpOptions::new(1).with_backend(BackendKind::Subprocess { workers: 2 }),
+    )
+    .unwrap();
+    assert_eq!(batch.local_x, reference.local_x);
+    assert_eq!(batch.class_of_ball, reference.class_of_ball);
+    assert_eq!(batch.class_keys, reference.class_keys);
+    assert_eq!(batch.class_solutions, reference.class_solutions);
 }
 
 #[test]
